@@ -8,6 +8,8 @@ extraction, goal counting.  Tools cover exhaustive state-space topology
 sampling, and static analysis up to goal-regression conflict checks.
 """
 
+__version__ = "0.1.0"
+
 from .errors import NoReferencePlan, ParseError, PlantopoError, \
     PreconditionViolated, ResourceExhausted, Truncated, UnsupportedFeature
 from .task_model import UNDEFINED, Fact, GroundAction, Task, apply, \
@@ -15,7 +17,8 @@ from .task_model import UNDEFINED, Fact, GroundAction, Task, apply, \
 from .heuristics import HEURISTICS, INF, RelaxedPlan, RelaxedPlanningGraph, \
     build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
 from .state_space import Plateau, StateSpace, TopologyReport, dead_end_class, \
-    enumerate_space, exit_distance, export_dot, plateaus, topology_report
+    enumerate_space, exit_distance, exit_distances, export_dot, plateaus, \
+    topology_report
 from .search import SearchResult, enforced_hill_climbing, invert_and_replay
 from .analysis import ActionFlags, AnalysisReport, Conflict, Fgt, MutexTable, \
     action_flags, analyze_task, build_fgt, check_lemmas, compute_mutexes, \
@@ -25,7 +28,5 @@ from .sampling import SampleConfig, SampleReport, on_valley, run_experiment, \
     sample_states, sampled_exit_distance
 from .generators import DOMAINS, GeneratorSpec, generate, pddl_texts
 from . import pddl
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -366,50 +366,6 @@ def _deletion_pairs(task: Task):
     return pairs
 
 
-def _allied_label_masks(fgt: Fgt):
-    """For each action id, the bitmask of action ids reachable in a sibling
-    branch (root paths diverging at an AND node)."""
-    order = []
-    stack = [0]
-    while stack:
-        nid = stack.pop()
-        order.append(nid)
-        stack.extend(fgt.children[nid])
-    mask = [0] * fgt.size
-    allied = {}
-    for nid in reversed(order):
-        m = 0
-        kids = fgt.children[nid]
-        for c in kids:
-            m |= mask[c]
-        if fgt.kinds[nid] == 'A':
-            if len(kids) > 1:
-                prefix = 0
-                for c in kids:
-                    cm = mask[c]
-                    mm = cm
-                    while mm:
-                        bit = mm & -mm
-                        allied[bit.bit_length() - 1] = \
-                            allied.get(bit.bit_length() - 1, 0) | prefix
-                        mm ^= bit
-                    prefix |= cm
-                suffix = 0
-                for c in reversed(kids):
-                    cm = mask[c]
-                    mm = cm
-                    while mm:
-                        bit = mm & -mm
-                        allied[bit.bit_length() - 1] = \
-                            allied.get(bit.bit_length() - 1, 0) | suffix
-                        mm ^= bit
-                    suffix |= cm
-            if fgt.labels[nid] is not None:
-                m |= 1 << fgt.labels[nid]
-        mask[nid] = m
-    return allied
-
-
 # ---------------------------------------------------------------------------
 # Conflicts
 
@@ -749,7 +705,7 @@ def validate_respected(task: Task, space: StateSpace) -> dict:
     for a in task.actions:
         counterexamples = []
         for sid, s in enumerate(space.states):
-            if space.gd[sid] is INF or not a.pre <= s:
+            if space.gd[sid] == INF or not a.pre <= s:
                 continue
             ns = frozenset((s | a.add) - a.delete)
             nid = space.index[ns]
@@ -776,7 +732,7 @@ def validate_rp_irrelevant_deletes(task: Task, s, a: GroundAction) -> bool:
         raise PreconditionViolated(
             f"action {a.name} is not applicable in the given state")
     base = h_plus(task, s)
-    if base is INF:
+    if base == INF:
         raise PreconditionViolated("state has no relaxed solution")
     if a.delete & task.goal:
         return False

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import click
 
-from . import pddl
+from . import __version__, pddl
 from .analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, \
     VERDICT_NO_LOCAL_MINIMA, analyze_task, \
     check_lemmas, interaction_free_verdict, no_local_minima_criterion, \
@@ -25,8 +25,6 @@ from .state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
     DEAD_END_UNDIRECTED, DEAD_END_UNRECOGNIZED, DEFAULT_MAX_STATES, \
     PLATEAU_LOCAL_MINIMUM, enumerate_space, export_dot, topology_report
 from .task_model import Task
-
-__version__ = "0.1.0"
 
 # primary size parameter per generated family, for the taxonomy subcommand
 SIZE_PARAMS = {
@@ -84,7 +82,7 @@ def emit_report(card: TaxonomyCard, format: str = "text") -> str:
     _check_card(card)
 
     def fmt(v):
-        return "inf" if v is INF else str(v)
+        return "inf" if v == INF else str(v)
 
     if format == "csv":
         buf = io.StringIO()
@@ -219,7 +217,7 @@ def heuristic(domain_path, problem_path, heuristic, show_plan):
         value = HEURISTICS[heuristic](task, task.init)
     except PlantopoError as exc:
         _fail(exc)
-    click.echo(f"{heuristic}(init) = {'inf' if value is INF else value}")
+    click.echo(f"{heuristic}(init) = {'inf' if value == INF else value}")
     if show_plan and heuristic == "hff":
         _, plan = h_ff(task, task.init)
         if plan is not None:
@@ -251,8 +249,8 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
     click.echo(f"dead-end class: {report.dead_end_class}")
     for cls in sorted(counts):
         click.echo(f"plateaus[{cls}]: {counts[cls]}")
-    click.echo(f"mlmed: {'inf' if report.mlmed is INF else report.mlmed}")
-    click.echo(f"mbed: {'inf' if report.mbed is INF else report.mbed}")
+    click.echo(f"mlmed: {'inf' if report.mlmed == INF else report.mlmed}")
+    click.echo(f"mbed: {'inf' if report.mbed == INF else report.mbed}")
     if dot_file:
         _write(dot_file, export_dot(space))
     if csv_file:
@@ -263,7 +261,7 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
                          "plateau_class", "exit_distance"])
 
         def fmt(v):
-            return "inf" if v is INF else v
+            return "inf" if v == INF else v
 
         for sid in range(space.size):
             pid = report.plateau_of[sid]

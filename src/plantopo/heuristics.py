@@ -176,7 +176,7 @@ class _LandmarkCutter:
             val, supporter, reached = self._layers(cost)
             gf = max(goal, key=lambda g: (val.get(g, INF), g))
             gc = val.get(gf, INF)
-            if gc is INF:
+            if gc == INF:
                 return INF, None
             if gc == 0:
                 return total, first_cut
@@ -326,7 +326,7 @@ def h_plus(task: Task, s, budget: int | None = None):
     Agrees with h_plus_oracle everywhere.
     """
     ub, _ = h_ff(task, s)
-    if ub is INF:
+    if ub == INF:
         return INF
     if _h_max(task, s) == ub:
         return ub
@@ -346,7 +346,7 @@ def h_plus(task: Task, s, budget: int | None = None):
         cost = [0 if aid in included else (None if aid in excluded else 1)
                 for aid in range(n)]
         total, cut = cutter.rounds(cost)
-        if total is INF or paid + total >= best[0]:
+        if total == INF or paid + total >= best[0]:
             return
         if total == 0:
             # goal reachable through committed actions only

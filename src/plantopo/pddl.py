@@ -99,17 +99,42 @@ def _head(sexpr):
     return None
 
 
+def _where(sexpr):
+    """(line, column) of the first token in an s-expression, if it has one."""
+    while isinstance(sexpr, list) and sexpr:
+        sexpr = sexpr[0]
+    if isinstance(sexpr, _Tok):
+        return sexpr.line, sexpr.col
+    return None, None
+
+
+def _symbol(sexpr, what):
+    """The text of a bare symbol; ParseError when sexpr is anything else."""
+    if not isinstance(sexpr, _Tok):
+        raise ParseError(f"expected a symbol as {what}", *_where(sexpr))
+    return sexpr.text
+
+
+def _name_of(section, what):
+    """The symbol that follows a section's head, as in (domain NAME)."""
+    if len(section) < 2:
+        raise ParseError(f"{what} has no name", *_where(section))
+    return _symbol(section[1], f"the name of {what}")
+
+
 def _atom_of(sexpr):
     """Interpret an s-expression as a positive atom (pred, args...)."""
     if not isinstance(sexpr, list) or not sexpr:
-        raise ParseError("expected an atom")
-    parts = []
-    for item in sexpr:
-        if not isinstance(item, _Tok):
-            raise ParseError("nested expression inside an atom",
-                             sexpr[0].line, sexpr[0].col)
-        parts.append(item.text)
-    return tuple(parts)
+        raise ParseError("expected an atom", *_where(sexpr))
+    return tuple(_symbol(item, "a predicate or term of an atom") for item in sexpr)
+
+
+def _pair_of(sexpr):
+    """The two terms of an (= x y) atom."""
+    atom = _atom_of(sexpr)
+    if len(atom) != 3:
+        raise ParseError("(= ...) takes exactly two terms", *_where(sexpr))
+    return atom[1], atom[2]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +167,8 @@ class LiftedTask:
 
 def _parse_typed_list(items, what="object"):
     """Parse 'a b - t c d - t2 e' into [(a,t),(b,t),(c,t2),(d,t2),(e,object)]."""
+    if not isinstance(items, list):
+        raise ParseError(f"expected a typed {what} list", *_where(items))
     out = []
     pending = []
     i = 0
@@ -186,16 +213,14 @@ def _parse_condition(sexpr, allow_equality):
                 if not allow_equality:
                     raise UnsupportedFeature(
                         "equality used without the :equality requirement")
-                a = _atom_of(item[1])
-                neqs.append((a[1], a[2]))
+                neqs.append(_pair_of(item[1]))
             else:
                 raise UnsupportedFeature("negative preconditions are not supported")
         elif head == "=":
             if not allow_equality:
                 raise UnsupportedFeature(
                     "equality used without the :equality requirement")
-            a = _atom_of(item)
-            eqs.append((a[1], a[2]))
+            eqs.append(_pair_of(item))
         else:
             atoms.append(_atom_of(item))
 
@@ -243,12 +268,13 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
     for section in dom[1:]:
         head = _head(section)
         if head == "domain":
-            domain_name = section[1].text
+            domain_name = _name_of(section, "(domain ...)")
         elif head == ":requirements":
             for r in section[1:]:
-                if r.text not in _SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedFeature(f"requirement {r.text} is not supported")
-                requirements.append(r.text)
+                req = _symbol(r, "a requirement")
+                if req not in _SUPPORTED_REQUIREMENTS:
+                    raise UnsupportedFeature(f"requirement {req} is not supported")
+                requirements.append(req)
         elif head == ":types":
             for name, parent in _parse_typed_list(section[1:], "type"):
                 types[name] = parent
@@ -257,20 +283,24 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
                 constants[name] = t
         elif head == ":predicates":
             for p in section[1:]:
-                atom = p
-                pname = atom[0].text
-                params = _parse_typed_list(atom[1:], "parameter")
-                predicates[pname] = params
+                pname = _head(p)
+                if pname is None:
+                    raise ParseError("expected a (predicate ?param ...) declaration",
+                                     *_where(p))
+                predicates[pname] = _parse_typed_list(p[1:], "parameter")
         elif head == ":functions":
             raise UnsupportedFeature("numeric fluents are not supported")
         elif head == ":derived":
             raise UnsupportedFeature("derived predicates are not supported")
         elif head == ":action":
-            name = section[1].text
+            name = _name_of(section, "(:action ...)")
             params, pre, eff = [], None, None
             i = 2
             while i < len(section):
-                key = section[i].text
+                key = _symbol(section[i], f"a keyword of action {name}")
+                if i + 1 >= len(section):
+                    raise ParseError(f"action keyword {key} of {name} has no value",
+                                     *_where(section[i]))
                 if key == ":parameters":
                     params = _parse_typed_list(section[i + 1], "parameter")
                 elif key == ":precondition":
@@ -296,7 +326,7 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
     for section in prob[1:]:
         head = _head(section)
         if head == "problem":
-            problem_name = section[1].text
+            problem_name = _name_of(section, "(problem ...)")
         elif head == ":domain":
             pass
         elif head == ":objects":
@@ -309,8 +339,10 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
                     raise UnsupportedFeature("negated init atoms are not supported")
                 init.append(_atom_of(atom))
         elif head == ":goal":
-            g = section[1]
-            atoms, eqs, neqs = _parse_condition(g, ":equality" in requirements)
+            if len(section) != 2:
+                raise ParseError("(:goal ...) takes exactly one condition",
+                                 *_where(section))
+            atoms, eqs, neqs = _parse_condition(section[1], ":equality" in requirements)
             if eqs or neqs:
                 raise UnsupportedFeature("equality in goals is not supported")
             goal = atoms
@@ -340,6 +372,13 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
 
 
 def _validate_lifted(lifted: LiftedTask):
+    for t in lifted.types:
+        chain = set()
+        while t != "object":
+            if t in chain:
+                raise ParseError(f"type {t} is its own ancestor")
+            chain.add(t)
+            t = lifted.types.get(t, "object")
     for sch in lifted.schemata:
         declared = {v for v, _ in sch.params}
         for atom in itertools.chain(sch.pre, sch.add, sch.delete):

@@ -60,7 +60,7 @@ class SampleReport:
             writer.writerow([
                 row.domain, params, row.instance_seed,
                 f"{row.valley_percentage:.1f}",
-                "inf" if row.sampled_max_exit_distance is INF
+                "inf" if row.sampled_max_exit_distance == INF
                 else row.sampled_max_exit_distance,
                 row.samples, row.error or "",
             ])
@@ -150,7 +150,7 @@ def sampled_exit_distance(task: Task, s, heuristic,
 
     start = frozenset(s)
     level = h(start)
-    if level is INF or level == 0:
+    if level == INF or level == 0:
         raise PreconditionViolated(
             "exit distance requires a finite, nonzero heuristic value")
 
@@ -198,10 +198,9 @@ def run_experiment(specs: list, cfg: SampleConfig,
                 if on_valley(task, s, heuristic, max_states):
                     row.valley_count += 1
                 hv = heuristic(task, s)
-                if hv is not INF and hv != 0:
+                if hv != INF and hv != 0:
                     ed = sampled_exit_distance(task, s, heuristic, max_states)
-                    if ed is INF or ed > max_ed:
-                        max_ed = ed if ed is INF else max(max_ed, ed)
+                    max_ed = max(max_ed, ed)
             row.valley_percentage = 100.0 * row.valley_count / len(states)
             row.sampled_max_exit_distance = max_ed
         except (PlantopoError, ValueError) as exc:
@@ -214,6 +213,6 @@ def run_experiment(specs: list, cfg: SampleConfig,
         report.group_means[key] = {
             "valley_pct": sum(r.valley_percentage for r in rows) / len(rows),
             "max_exit_distance":
-                INF if any(e is INF for e in eds) else sum(eds) / len(rows),
+                INF if any(e == INF for e in eds) else sum(eds) / len(rows),
         }
     return report

@@ -73,7 +73,7 @@ def enforced_hill_climbing(task: Task, heuristic, budget: int = 1_000_000) -> Se
                         continue
                     closed.add(ns)
                     nh = h(ns)
-                    if nh is INF:
+                    if nh == INF:
                         continue
                     if nh < current_h:
                         found = (ns, path + [a.id], nh)

@@ -36,6 +36,7 @@ class StateSpace:
     transitions: list            # per state id: list of (action id, succ id)
     h: list                      # per state id: heuristic value
     gd: list                     # per state id: goal distance or INF
+    preds: list = field(repr=False)  # per state id: predecessor ids, one per edge
     index: dict = field(repr=False, default_factory=dict)  # State -> id
 
     @property
@@ -69,8 +70,8 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     """Breadth-first expansion from init in action-id order.
 
     ``heuristic`` is a callable (task, state) -> value.  Goal distances come
-    from a backward breadth-first search over reversed transitions from all
-    goal states.
+    from a backward breadth-first search over the predecessor lists, which
+    the space keeps, from all goal states.
     """
     init = frozenset(task.init)
     states = [init]
@@ -112,27 +113,23 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     while queue:
         sid = queue.popleft()
         for pid in preds[sid]:
-            if gd[pid] is INF:
+            if gd[pid] == INF:
                 gd[pid] = gd[sid] + 1
                 queue.append(pid)
 
-    return StateSpace(task, states, transitions, h, gd, index)
+    return StateSpace(task, states, transitions, h, gd, preds, index)
 
 
 def dead_end_class(space: StateSpace) -> str:
-    undirected = True
     for sid, succs in enumerate(space.transitions):
-        for _, nid in succs:
-            if nid != sid and not any(back == sid for _, back in space.transitions[nid]):
-                undirected = False
-                break
-        if not undirected:
+        back = set(space.preds[sid])     # nid -> sid is a transition iff nid in back
+        if any(nid != sid and nid not in back for _, nid in succs):
             break
-    if undirected:
+    else:
         return DEAD_END_UNDIRECTED
-    if all(d is not INF for d in space.gd):
+    if all(d != INF for d in space.gd):
         return DEAD_END_HARMLESS
-    if all(space.h[sid] is INF for sid in range(space.size) if space.gd[sid] is INF):
+    if all(space.h[sid] == INF for sid in range(space.size) if space.gd[sid] == INF):
         return DEAD_END_RECOGNIZED
     return DEAD_END_UNRECOGNIZED
 
@@ -187,25 +184,24 @@ def _sccs(nodes, succ):
     return comps
 
 
-def _exit_states(space: StateSpace, level):
-    """States at the given heuristic level with a strictly improving successor."""
-    exits = set()
-    for sid in range(space.size):
-        if space.h[sid] == level:
-            for _, nid in space.transitions[sid]:
-                if space.h[nid] < level:
-                    exits.add(sid)
-                    break
+def _exits_by_level(space: StateSpace) -> dict:
+    """Per heuristic level, the states at that level with a strictly
+    improving successor (the level's exits)."""
+    h = space.h
+    exits = {}
+    for sid, succs in enumerate(space.transitions):
+        if any(h[nid] < h[sid] for _, nid in succs):
+            exits.setdefault(h[sid], set()).add(sid)
     return exits
 
 
 def classify_plateau(space: StateSpace, level, members, exits=None) -> str:
-    if level is INF:
+    if level == INF:
         return PLATEAU_RECOGNIZED_DEAD_END
     if level == 0:
         return PLATEAU_GLOBAL_MINIMUM
     if exits is None:
-        exits = _exit_states(space, level)
+        exits = _exits_by_level(space).get(level, set())
     # flat reachability from the plateau: paths staying at h == level
     seen = set(members)
     queue = deque(members)
@@ -226,46 +222,56 @@ def classify_plateau(space: StateSpace, level, members, exits=None) -> str:
     return PLATEAU_BENCH
 
 
-def plateaus(space: StateSpace) -> list:
-    """Plateau partition: SCCs of each heuristic level's induced subgraph."""
+def plateaus(space: StateSpace, exits=None) -> list:
+    """Plateau partition: SCCs of each heuristic level's induced subgraph,
+    in increasing level order.  ``exits`` is ``_exits_by_level(space)``,
+    computed here when not given."""
+    if exits is None:
+        exits = _exits_by_level(space)
     by_level = {}
     for sid in range(space.size):
         by_level.setdefault(space.h[sid], []).append(sid)
     result = []
     pid = 0
-    for level in sorted(by_level, key=lambda v: (v is INF, v)):
+    for level in sorted(by_level, key=lambda v: (v == INF, v)):
         members_at_level = set(by_level[level])
 
         def succ(sid):
             return [nid for _, nid in space.transitions[sid] if nid in members_at_level]
 
-        exits = _exit_states(space, level) if level not in (0, INF) else None
+        level_exits = exits.get(level, set())
         for comp in _sccs(sorted(members_at_level), succ):
-            cls = classify_plateau(space, level, comp, exits)
+            cls = classify_plateau(space, level, comp, level_exits)
             result.append(Plateau(pid, level, frozenset(comp), cls))
             pid += 1
     return result
 
 
+def exit_distances(space: StateSpace, level, exits=None) -> list:
+    """Per state id, the breadth-first distance (over all transitions) to the
+    nearest exit at the given heuristic level; INF when none is reachable.
+    One multi-source search from the exits over the predecessor lists."""
+    if exits is None:
+        exits = _exits_by_level(space).get(level, set())
+    dist = [INF] * space.size
+    for sid in exits:
+        dist[sid] = 0
+    queue = deque(exits)
+    preds = space.preds
+    while queue:
+        sid = queue.popleft()
+        d = dist[sid] + 1
+        for pid in preds[sid]:
+            if dist[pid] == INF:
+                dist[pid] = d
+                queue.append(pid)
+    return dist
+
+
 def exit_distance(space: StateSpace, sid: int):
     """Breadth-first distance (over all transitions) from sid to the nearest
     exit at sid's heuristic level; INF when unreachable."""
-    level = space.h[sid]
-    exits = _exit_states(space, level)
-    if sid in exits:
-        return 0
-    seen = {sid}
-    queue = deque([(sid, 0)])
-    while queue:
-        cur, d = queue.popleft()
-        for _, nid in space.transitions[cur]:
-            if nid in seen:
-                continue
-            if space.h[nid] == level and nid in exits:
-                return d + 1
-            seen.add(nid)
-            queue.append((nid, d + 1))
-    return INF
+    return exit_distances(space, space.h[sid])[sid]
 
 
 def _unrecognized_depths(space: StateSpace):
@@ -273,7 +279,7 @@ def _unrecognized_depths(space: StateSpace):
     reachable through paths that stay within unrecognized dead ends (each
     state reaches itself)."""
     members = {sid for sid in range(space.size)
-               if space.gd[sid] is INF and space.h[sid] is not INF}
+               if space.gd[sid] == INF and space.h[sid] != INF}
     depths = {}
     for sid in members:
         seen = {sid}
@@ -289,7 +295,8 @@ def _unrecognized_depths(space: StateSpace):
 
 
 def topology_report(space: StateSpace) -> TopologyReport:
-    plist = plateaus(space)
+    exits = _exits_by_level(space)
+    plist = plateaus(space, exits)
     plateau_of = {}
     for p in plist:
         for sid in p.member_state_ids:
@@ -297,11 +304,15 @@ def topology_report(space: StateSpace) -> TopologyReport:
     ed = {}
     mlmed = 0
     mbed = 0
+    level = dist = None
     for p in plist:
         if p.plateau_class not in (PLATEAU_LOCAL_MINIMUM, PLATEAU_BENCH):
             continue
+        if p.level != level:         # plateaus come in level order
+            level = p.level
+            dist = exit_distances(space, level, exits.get(level, set()))
         for sid in p.member_state_ids:
-            d = exit_distance(space, sid)
+            d = dist[sid]
             ed[sid] = d
             if p.plateau_class == PLATEAU_LOCAL_MINIMUM:
                 mlmed = max(mlmed, d)
@@ -326,11 +337,11 @@ def export_dot(space: StateSpace) -> str:
         by_level.setdefault(space.h[sid], []).append(sid)
 
     def level_key(v):
-        return (v is INF, v)
+        return (v == INF, v)
 
     for level in sorted(by_level, key=level_key):
         ids = sorted(by_level[level])
-        label = "inf" if level is INF else str(level)
+        label = "inf" if level == INF else str(level)
         for sid in ids:
             shape = ' shape=doublecircle' if is_goal(space.task, space.states[sid]) else ""
             lines.append(f'  s{sid} [label="s{sid} h={label}"{shape}];')

@@ -28,6 +28,14 @@ def task_args(name):
             str(DATA / f"{name}-problem.pddl")]
 
 
+def src_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def check_golden(result, golden_name):
     assert result.exit_code == 0, result.output
     assert result.output == (GOLDEN / golden_name).read_text()
@@ -83,6 +91,19 @@ class TestParse:
         bad.write_text("(define (domain broken")
         res = runner.invoke(main, ["parse", str(bad), str(bad)])
         assert res.exit_code == 1
+
+    def test_malformed_section_exits_one_without_traceback(self, tmp_path):
+        domain = (DATA / "transport-domain.pddl").read_text()
+        assert "(:requirements" in domain
+        bad = tmp_path / "bad.pddl"
+        bad.write_text(domain.replace("(:requirements", "(:requirements (:strips)", 1))
+        res = subprocess.run(
+            [sys.executable, "-m", "plantopo.cli", "parse", str(bad),
+             str(DATA / "transport-problem.pddl")],
+            capture_output=True, text=True, env=src_env(), timeout=120)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr + res.stdout
 
 
 class TestHeuristic:
@@ -211,6 +232,15 @@ class TestDispatch:
         assert res.exit_code == 0
         assert "plantopo" in res.output
 
+    def test_version_matches_pyproject(self):
+        import plantopo
+        text = (ROOT / "pyproject.toml").read_text()
+        table = re.search(r"(?ms)^\[project\]\s*$(.*?)(?:^\[|\Z)", text)
+        assert table is not None
+        version = re.search(r'(?m)^version\s*=\s*"([^"]+)"', table.group(1))
+        assert version is not None
+        assert plantopo.__version__ == version.group(1)
+
     def test_entry_point_installed(self):
         # The target that [project.scripts] declares, started the way the
         # installed wrapper starts it; then the installed script, if any.
@@ -222,10 +252,7 @@ class TestDispatch:
         assert entry is not None
         module, _, attr = entry.group(1).partition(":")
         code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        runs = [([sys.executable, "-c", code, "--version"], env)]
+        runs = [([sys.executable, "-c", code, "--version"], src_env())]
         exe = shutil.which("plantopo")
         if exe is not None:
             assert os.access(exe, os.X_OK)

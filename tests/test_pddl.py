@@ -1,8 +1,11 @@
 """Parser, grounder, and serializer for the PDDL subset."""
 
+import random
+import re
+
 import pytest
 
-from plantopo.errors import ParseError, UnsupportedFeature
+from plantopo.errors import ParseError, PlantopoError, UnsupportedFeature
 from plantopo.generators import DOMAINS, GeneratorSpec, generate, pddl_texts
 from plantopo.pddl import ground, parse_task, serialize
 
@@ -48,6 +51,48 @@ class TestParse:
     def test_case_insensitive(self):
         lifted = parse_task(MINI_DOMAIN.upper(), MINI_PROBLEM.upper())
         assert len(lifted.schemata) == 1
+
+    @pytest.mark.parametrize("old, new", [
+        ("(domain mini)", "(domain (x))"),
+        ("  (:action go", "  (:action)\n  (:action go"),
+        ("(:predicates (at ?x)", "(:predicates p (at ?x)"),
+        ("(:requirements :strips)", "(:requirements (:strips))"),
+    ], ids=["domain-name-list", "empty-action", "predicates-bare-symbol",
+            "requirements-list"])
+    def test_malformed_section_is_a_parse_error(self, old, new):
+        assert old in MINI_DOMAIN
+        with pytest.raises(ParseError):
+            parse_task(MINI_DOMAIN.replace(old, new, 1), MINI_PROBLEM)
+
+    def test_cyclic_type_hierarchy_is_a_parse_error(self):
+        # grounding would otherwise climb a -> b -> a forever looking for c
+        dom = """(define (domain d) (:requirements :strips :typing)
+                 (:types a - b b - a c) (:predicates (p ?x - c))
+                 (:action go :parameters (?x - c) :precondition (p ?x)
+                  :effect (not (p ?x))))"""
+        prob = """(define (problem q) (:domain d) (:objects o - a k - c)
+                  (:init (p k)) (:goal (p k)))"""
+        with pytest.raises(ParseError):
+            parse_task(dom, prob)
+
+    def test_mutated_text_raises_only_plantopo_errors(self):
+        # seeded token-level mutations of a real domain and problem
+        dom, prob = pddl_texts(GeneratorSpec("gripper", {"balls": 1}, 0))
+        rng = random.Random(0)
+        for _ in range(400):
+            texts = [dom, prob]
+            k = rng.randrange(2)
+            toks = re.findall(r"\(|\)|[^\s()]+", texts[k])
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(toks))
+                toks[i:i + 1] = rng.choice([
+                    [], ["(", toks[i]], [")", toks[i]], ["(", toks[i], ")"],
+                    [rng.choice(["-", ":parameters", ":action", "()"]), toks[i]]])
+            texts[k] = " ".join(toks)
+            try:
+                parse_task(*texts)
+            except PlantopoError:
+                pass
 
     def test_gripper_has_three_schemata(self):
         dom, prob = pddl_texts(GeneratorSpec("gripper", {"balls": 1}, 0))

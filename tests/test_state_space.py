@@ -1,5 +1,6 @@
 """Exhaustive enumeration and topology classification."""
 
+import math
 from collections import deque
 
 import pytest
@@ -89,6 +90,33 @@ class TestDeadEndClass:
         space = enumerate_space(t, H_PLUS)
         assert dead_end_class(space) == "Undirected"
 
+    def test_two_way_edges_and_a_self_loop_are_undirected(self):
+        t = make_task(["p", "q"], [("ab", ["p"], ["q"], ["p"]),
+                                   ("ba", ["q"], ["p"], ["q"]),
+                                   ("stay", ["p"], ["p"], [])], ["p"], ["q"])
+        space = enumerate_space(t, H_FF)
+        assert space.size == 2
+        assert dead_end_class(space) == "Undirected"
+
+    @pytest.mark.parametrize("actions, expected", [
+        # p -> q has no way back, every state still reaches the goal
+        ([("ab", ["p"], ["q"], ["p"]), ("fin", ["q"], ["g"], [])], "Harmless"),
+        # the one-way trap p -> r ends where even the relaxation fails
+        ([("go", ["p"], ["g"], ["p"]), ("trap", ["p"], ["r"], ["p"])],
+         "Recognized"),
+        # p -> q is a dead end whose relaxation still reaches g via r
+        ([("go", ["p"], ["g"], ["p"]), ("step", ["p"], ["q"], ["p"]),
+          ("mk", ["q"], ["r"], ["q"]), ("fin", ["q", "r"], ["g"], [])],
+         "Unrecognized"),
+    ], ids=["harmless", "recognized", "unrecognized"])
+    def test_one_way_edge(self, actions, expected):
+        t = make_task(["g", "p", "q", "r"], actions, ["p"], ["g"])
+        space = enumerate_space(t, H_FF)
+        edges = {(sid, nid) for sid, succs in enumerate(space.transitions)
+                 for _, nid in succs}
+        assert any((nid, sid) not in edges for sid, nid in edges)
+        assert dead_end_class(space) == expected
+
 
 class TestPlateaus:
     def test_hanoi_has_no_local_minima(self):
@@ -142,6 +170,49 @@ class TestExitDistance:
                 is_exit = any(space.h[v] < h for _, v in space.transitions[sid])
                 assert (exit_distance(space, sid) == 0) == is_exit
 
+    @staticmethod
+    def forward_exit_distance(space, sid):
+        """Shortest path over all transitions from sid to a state at sid's
+        level that has a strictly better successor; INF if there is none."""
+        level = space.h[sid]
+        dist = {sid: 0}
+        queue = deque([sid])
+        while queue:
+            u = queue.popleft()
+            if space.h[u] == level and any(space.h[v] < level
+                                           for _, v in space.transitions[u]):
+                return dist[u]
+            for _, v in space.transitions[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return INF
+
+    def check_against_forward_search(self, space):
+        rep = topology_report(space)
+        want = {sid: self.forward_exit_distance(space, sid)
+                for p in rep.plateaus if p.plateau_class in ("LocalMinimum", "Bench")
+                for sid in p.member_state_ids}
+        assert rep.ed == want
+        for cls, got in (("LocalMinimum", rep.mlmed), ("Bench", rep.mbed)):
+            assert got == max((want[sid] for p in rep.plateaus if p.plateau_class == cls
+                               for sid in p.member_state_ids), default=0)
+        for sid in range(space.size):
+            assert exit_distance(space, sid) == self.forward_exit_distance(space, sid)
+        return want
+
+    def test_report_matches_forward_search_on_random_tasks(self):
+        distances = []
+        for seed in range(30):
+            t = random_task(seed, max_facts=7, max_actions=8)
+            distances += self.check_against_forward_search(
+                enumerate_space(t, H_FF, max_states=20_000)).values()
+        assert INF in distances and any(0 < d < INF for d in distances)
+
+    def test_report_matches_forward_search_on_gripper(self):
+        _, space = space_of("gripper", {"balls": 3})
+        assert any(d > 0 for d in self.check_against_forward_search(space).values())
+
 
 class TestTopologyReport:
     def test_gripper_three_balls(self):
@@ -182,6 +253,22 @@ class TestTopologyReport:
                 assert rep.mlmed is INF
                 assert rep.unrecognized_dead_end_depths
         assert checked > 0
+
+
+class TestInfinity:
+    def test_math_inf_heuristic_gives_the_stock_topology(self, detour_task):
+        def h_math_inf(task, s):
+            v = H_FF(task, s)
+            return math.inf if v == INF else v
+
+        stock = enumerate_space(detour_task, H_FF)
+        other = enumerate_space(detour_task, h_math_inf)
+        assert INF in stock.h and any(v is math.inf for v in other.h)
+        a, b = topology_report(stock), topology_report(other)
+        assert dead_end_class(other) == dead_end_class(stock) == "Recognized"
+        assert [(p.level, p.member_state_ids, p.plateau_class) for p in b.plateaus] \
+            == [(p.level, p.member_state_ids, p.plateau_class) for p in a.plateaus]
+        assert (b.mlmed, b.mbed, b.ed) == (a.mlmed, a.mbed, a.ed)
 
 
 class TestExportDot:
