@@ -361,9 +361,43 @@ def h_plus(task: Task, s, budget: int | None = None):
     return best[0]
 
 
+def h_ff_value(task: Task, s):
+    """The value of ``h_ff`` without its relaxed plan."""
+    return h_ff(task, s)[0]
+
+
+# Every entry is a module-level function, so that it pickles by name.
 HEURISTICS = {
-    "hplus": lambda task, s: h_plus(task, s),
-    "hff": lambda task, s: h_ff(task, s)[0],
+    "hplus": h_plus,
+    "hff": h_ff_value,
     "goalcount": h_goalcount,
-    "oracle": lambda task, s: h_plus_oracle(task, s),
+    "oracle": h_plus_oracle,
 }
+
+
+class HeuristicMemo:
+    """``heuristic`` bound to one task: each distinct state, keyed by its
+    frozenset, is evaluated once.  Called like a ``HEURISTICS`` entry; a call
+    with any other task goes to ``heuristic`` unmemoized."""
+
+    def __init__(self, heuristic, task: Task):
+        self.heuristic = heuristic
+        self.task = task
+        self.values = {}
+
+    def __call__(self, task: Task, s):
+        if task is not self.task:
+            return self.heuristic(task, s)
+        key = frozenset(s)
+        v = self.values.get(key)
+        if v is None:
+            v = self.values[key] = self.heuristic(task, key)
+        return v
+
+
+def memoized(heuristic, task: Task) -> HeuristicMemo:
+    """``heuristic`` memoized on ``task``.  A memo already bound to ``task``
+    is returned unchanged, so callers that pass it on share its values."""
+    if isinstance(heuristic, HeuristicMemo) and heuristic.task is task:
+        return heuristic
+    return HeuristicMemo(heuristic, task)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import NoReferencePlan, PlantopoError, PreconditionViolated, \
     ResourceExhausted
 from .generators import generate
-from .heuristics import HEURISTICS, INF
+from .heuristics import HEURISTICS, INF, memoized
 from .search import OUTCOME_SOLVED, enforced_hill_climbing
 from .state_space import DEFAULT_MAX_STATES
 from .task_model import Task, is_goal
@@ -102,15 +102,7 @@ def sample_states(task: Task, cfg: SampleConfig) -> list:
 def on_valley(task: Task, s, heuristic, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """True iff no goal state is reachable from s along a path on which the
     heuristic value is monotonically non-increasing."""
-    h_cache = {}
-
-    def h(state):
-        v = h_cache.get(state)
-        if v is None:
-            v = heuristic(task, state)
-            h_cache[state] = v
-        return v
-
+    h = memoized(heuristic, task)
     start = frozenset(s)
     if is_goal(task, start):
         return False
@@ -118,12 +110,12 @@ def on_valley(task: Task, s, heuristic, max_states: int = DEFAULT_MAX_STATES) ->
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        hu = h(u)
+        hu = h(task, u)
         for a in task.actions:
             if not a.pre <= u:
                 continue
             v = frozenset((u | a.add) - a.delete)
-            if v in seen or h(v) > hu:
+            if v in seen or h(task, v) > hu:
                 continue
             if is_goal(task, v):
                 return False
@@ -139,17 +131,9 @@ def sampled_exit_distance(task: Task, s, heuristic,
                           max_states: int = DEFAULT_MAX_STATES):
     """Distance to the nearest exit at s's heuristic level, breadth-first
     over all transitions from s, without full enumeration."""
-    h_cache = {}
-
-    def h(state):
-        v = h_cache.get(state)
-        if v is None:
-            v = heuristic(task, state)
-            h_cache[state] = v
-        return v
-
+    h = memoized(heuristic, task)
     start = frozenset(s)
-    level = h(start)
+    level = h(task, start)
     if level == INF or level == 0:
         raise PreconditionViolated(
             "exit distance requires a finite, nonzero heuristic value")
@@ -159,7 +143,8 @@ def sampled_exit_distance(task: Task, s, heuristic,
                 for a in task.actions if a.pre <= u]
 
     def is_exit(u):
-        return h(u) == level and any(h(v) < level for v in successors(u))
+        return h(task, u) == level and \
+            any(h(task, v) < level for v in successors(u))
 
     if is_exit(start):
         return 0
@@ -183,7 +168,9 @@ def sampled_exit_distance(task: Task, s, heuristic,
 def run_experiment(specs: list, cfg: SampleConfig,
                    max_states: int = DEFAULT_MAX_STATES) -> SampleReport:
     """Sample every instance, flag per-instance failures instead of aborting,
-    and aggregate means per (domain, parameters) group."""
+    and aggregate means per (domain, parameters) group.  One heuristic memo
+    serves each instance's valley tests, heuristic values and exit-distance
+    searches, so each distinct state of an instance is evaluated once."""
     heuristic = HEURISTICS[cfg.heuristic]
     report = SampleReport()
     groups = {}
@@ -194,12 +181,13 @@ def run_experiment(specs: list, cfg: SampleConfig,
             states = sample_states(task, cfg)
             row.samples = len(states)
             max_ed = 0
+            h = memoized(heuristic, task)
             for s in states:
-                if on_valley(task, s, heuristic, max_states):
+                if on_valley(task, s, h, max_states):
                     row.valley_count += 1
-                hv = heuristic(task, s)
+                hv = h(task, s)
                 if hv != INF and hv != 0:
-                    ed = sampled_exit_distance(task, s, heuristic, max_states)
+                    ed = sampled_exit_distance(task, s, h, max_states)
                     max_ed = max(max_ed, ed)
             row.valley_percentage = 100.0 * row.valley_count / len(states)
             row.sampled_max_exit_distance = max_ed

@@ -138,7 +138,7 @@ def test_gripper_family_has_benign_topology():
             for s in sample_states(t, cfg):
                 assert not on_valley(t, s, h)
                 hv = h(t, s)
-                if hv is not INF and hv != 0:
+                if hv != INF and hv != 0:
                     assert sampled_exit_distance(t, s, h) <= 1
 
 

@@ -1,5 +1,6 @@
 """Heuristic evaluators: exact relaxed length, oracle, layered extraction."""
 
+import pickle
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import INF, _h_landmark_cut, _h_max, build_rpg, \
-    h_ff, h_goalcount, h_plus, h_plus_oracle
+from plantopo.heuristics import HEURISTICS, INF, _h_landmark_cut, _h_max, \
+    build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
 from plantopo.task_model import make_task, validate_plan
 
 from conftest import random_single_achiever_task, random_task, \
@@ -142,6 +143,13 @@ class TestGoalCount:
     def test_hanoi_initial(self):
         t = generate(GeneratorSpec("hanoi", {"discs": 3}, 0))
         assert h_goalcount(t, frozenset(t.init)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(HEURISTICS))
+def test_heuristic_entries_pickle(name, transport_task):
+    h = HEURISTICS[name]
+    s = frozenset(transport_task.init)
+    assert pickle.loads(pickle.dumps(h))(transport_task, s) == h(transport_task, s)
 
 
 @settings(max_examples=80, deadline=None)

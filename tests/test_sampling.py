@@ -1,10 +1,13 @@
 """Random-walk sampling, valley detection, and sampled exit distances."""
 
+from collections import Counter
+
 import pytest
 
+from plantopo import sampling
 from plantopo.errors import NoReferencePlan, PreconditionViolated
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF
+from plantopo.heuristics import HEURISTICS, INF, memoized
 from plantopo.sampling import SampleConfig, on_valley, run_experiment, \
     sample_states, sampled_exit_distance
 from plantopo.state_space import enumerate_space, exit_distance, plateaus
@@ -83,7 +86,7 @@ class TestSampledExitDistance:
         distances = []
         for s in sample_states(t, cfg):
             hv = H_FF(t, s)
-            if hv is not INF and hv != 0:
+            if hv != INF and hv != 0:
                 distances.append(sampled_exit_distance(t, s, H_FF))
         assert distances and max(distances) == 1
 
@@ -92,7 +95,7 @@ class TestSampledExitDistance:
         cfg = SampleConfig(samples_per_instance=30, seed=11)
         for s in sample_states(t, cfg):
             hv = H_FF(t, s)
-            if hv is not INF and hv != 0:
+            if hv != INF and hv != 0:
                 assert sampled_exit_distance(t, s, H_FF) <= 6
 
     def test_exit_state_is_zero(self, transport_task):
@@ -114,7 +117,7 @@ class TestSampledExitDistance:
             space = enumerate_space(t, H_PLUS)
             for sid, s in enumerate(space.states):
                 hv = space.h[sid]
-                if hv is INF or hv == 0:
+                if hv == INF or hv == 0:
                     continue
                 assert sampled_exit_distance(t, s, H_PLUS) == \
                     exit_distance(space, sid), domain
@@ -169,3 +172,68 @@ class TestRunExperiment:
         assert lines[0] == ("domain,params,instance_seed,valley_pct,"
                             "max_exit_distance,samples,flagged_errors")
         assert lines[1].startswith("movie,")
+
+
+class TestHeuristicMemo:
+    @pytest.mark.parametrize("name, specs", [
+        ("hplus", [GeneratorSpec("gripper", (("balls", n),), 0)
+                   for n in (1, 2, 3)]),
+        # valleys: the valley search prunes on the memo's values
+        ("hff", [GeneratorSpec("blocksworld-arm-stack", (("n", 3),), 0)]),
+    ])
+    def test_run_experiment_evaluates_each_state_once_per_row(
+            self, monkeypatch, name, specs):
+        cfg = SampleConfig(samples_per_instance=50, heuristic=name)
+        inner = HEURISTICS[name]
+        calls = []
+
+        def counting(task, s):
+            calls.append((task, frozenset(s)))
+            return inner(task, s)
+
+        plan_length = sampling.reference_plan_length
+
+        def uncounted_plan_length(task):
+            # the reference plan's hill-climbing is not part of the row
+            with monkeypatch.context() as m:
+                m.setitem(HEURISTICS, name, inner)
+                return plan_length(task)
+
+        monkeypatch.setattr(sampling, "reference_plan_length",
+                            uncounted_plan_length)
+        monkeypatch.setitem(HEURISTICS, name, counting)
+        rep = run_experiment(specs, cfg)
+        monkeypatch.undo()
+
+        per_row = Counter((id(task), s) for task, s in calls)
+        assert calls and max(per_row.values()) == 1
+        assert len({id(task) for task, _ in calls}) == len(specs)
+        for spec, row in zip(specs, rep.rows):
+            task = generate(spec)
+            states = sample_states(task, cfg)
+            valleys = sum(on_valley(task, s, inner) for s in states)
+            eds = [sampled_exit_distance(task, s, inner) for s in states
+                   if inner(task, s) not in (0, INF)]
+            assert (row.valley_percentage, row.sampled_max_exit_distance,
+                    row.samples, row.error) == \
+                (100.0 * valleys / len(states), max(eds, default=0),
+                 len(states), None)
+        if name == "hff":
+            assert rep.rows[0].valley_percentage > 0
+
+    def test_memo_never_crosses_tasks(self):
+        # same facts and actions, different goals: a state's key collides
+        a = generate(GeneratorSpec("blocksworld-arm", (("blocks", 4),), 0))
+        b = generate(GeneratorSpec("blocksworld-arm", (("blocks", 4),), 1))
+        assert a.facts == b.facts and a.goal != b.goal
+        states = sample_states(b, SampleConfig(samples_per_instance=30))
+        memo = memoized(H_FF, a)
+        for s in states:
+            memo(a, s)
+        assert memoized(memo, a) is memo and memoized(memo, b) is not memo
+        for s in states:
+            assert memo(b, s) == H_FF(b, s)
+            assert on_valley(b, s, memo) == on_valley(b, s, H_FF)
+            if H_FF(b, s) not in (0, INF):
+                assert sampled_exit_distance(b, s, memo) == \
+                    sampled_exit_distance(b, s, H_FF)
