@@ -313,7 +313,9 @@ def _node_sets(fgt: Fgt, task: Task, nid):
 
 
 def _ancestor_conflicts(fgt: Fgt, task: Task, excluded=None):
-    """Descendant action nodes deleting a still-needed ancestor precondition.
+    """Yield (descendant, ancestor, fact) for each descendant action node
+    deleting a still-needed ancestor precondition, in depth-first order.
+    ``excluded`` marks whole sub-trees rooted at action nodes to skip.
 
     An ancestor action node leaves each precondition fact vulnerable along
     its subtree until some intermediate action re-adds the fact.  The root
@@ -321,21 +323,14 @@ def _ancestor_conflicts(fgt: Fgt, task: Task, excluded=None):
     goal fact is deleted without being re-achieved on the way up.
     """
     vulnerable = {}
-    out = []
 
     def visit(nid):
-        if excluded is not None and excluded[nid]:
-            return
-        if fgt.kinds[nid] == 'F':
-            for c in fgt.children[nid]:
-                visit(c)
-            return
         pre, add, dele = _node_sets(fgt, task, nid)
         label = fgt.labels[nid]
         for f in dele:
             for anc in vulnerable.get(f, ()):
                 if fgt.labels[anc] != label:
-                    out.append((nid, anc, f))
+                    yield nid, anc, f
         saved = {}
         for f in add:
             if vulnerable.get(f):
@@ -343,15 +338,15 @@ def _ancestor_conflicts(fgt: Fgt, task: Task, excluded=None):
                 vulnerable[f] = []
         for f in pre:
             vulnerable.setdefault(f, []).append(nid)
-        for c in fgt.children[nid]:
-            visit(c)
+        for fact_node in fgt.children[nid]:
+            for c in fgt.children[fact_node]:
+                if excluded is None or not excluded[c]:
+                    yield from visit(c)
         for f in pre:
             vulnerable[f].pop()
-        for f, lst in saved.items():
-            vulnerable[f] = lst
+        vulnerable.update(saved)
 
-    visit(0)
-    return out
+    return visit(0)
 
 
 def _deletion_pairs(task: Task):
@@ -583,11 +578,11 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
 
 
 def _conflict_instances(fgt, task, excluded, by_label, lca, deletion_pairs):
-    """All conflict node tuples within the sub-tree that excludes the marked
-    nodes; ancestor conflicts yield (deleter, ancestor), sibling conflicts
-    every allied pair, goal deleters (node, root)."""
-    out = [(desc, anc) for desc, anc, _ in
-           _ancestor_conflicts(fgt, task, excluded)]
+    """Yield the conflict node tuples within the sub-tree that excludes the
+    marked nodes; ancestor conflicts give (deleter, ancestor), sibling
+    conflicts every allied pair, goal deleters (node, root)."""
+    for desc, anc, _ in _ancestor_conflicts(fgt, task, excluded):
+        yield desc, anc
     for aid, bid in deletion_pairs:
         for n1 in by_label.get(aid, ()):
             if excluded[n1]:
@@ -597,8 +592,7 @@ def _conflict_instances(fgt, task, excluded, by_label, lca, deletion_pairs):
                     continue
                 w = lca(n1, n2)
                 if w not in (n1, n2) and fgt.kinds[w] == 'A':
-                    out.append((n1, n2))
-    return out
+                    yield n1, n2
 
 
 def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:

@@ -737,11 +737,32 @@ DOMAINS = {
 }
 
 
+# parameter names each family reads; the hand-built fixtures read none
+PARAMS = {
+    "gripper": ("balls",),
+    "logistics": ("airplanes", "cities", "packages", "size"),
+    "ferry": ("cars", "locations"),
+    "simple-tsp": ("locations",),
+    "movie": ("items",),
+    "hanoi": ("discs",),
+    "tireworld": ("tires",),
+    "blocksworld-arm": ("blocks",),
+    "blocksworld-no-arm": ("blocks",),
+    "blocksworld-arm-stack": ("n",),
+    "blocksworld-no-arm-stack": ("n",),
+}
+
+
 def pddl_texts(spec: GeneratorSpec):
     """The (domain, problem) PDDL texts for a generator spec."""
     if spec.domain_name not in DOMAINS:
         raise ValueError(f"unknown domain {spec.domain_name}; "
                          f"supported: {', '.join(sorted(DOMAINS))}")
+    accepted = PARAMS.get(spec.domain_name, ())
+    unknown = [k for k, _ in spec.params if k not in accepted]
+    _require(not unknown,
+             f"{spec.domain_name} has no parameter {', '.join(unknown)}; "
+             f"accepted: {', '.join(accepted) or 'none'}")
     return DOMAINS[spec.domain_name](spec)
 
 

@@ -1,6 +1,8 @@
 """Static analysis: mutexes, action properties, regression-tree conflicts,
 verdicts, and the space-backed validators."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
     action_flags, analyze_task, build_fgt, check_lemmas, compute_mutexes, \
     find_conflicts, interaction_free_verdict, no_local_minima_criterion, \
     repairable, validate_respected, validate_rp_irrelevant_deletes
+from plantopo.analysis import _ancestor_conflicts, _deletion_pairs, \
+    _make_lca, _node_depths
 from plantopo.errors import PreconditionViolated, Truncated
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF
@@ -241,11 +245,84 @@ class TestNoLocalMinimaCriterion:
     def test_single_city_logistics(self):
         t = generate(GeneratorSpec(
             "logistics",
-            {"cities": 1, "city_size": 2, "trucks": 1, "packages": 1}, 0))
+            {"cities": 1, "size": 2, "packages": 1}, 0))
         assert no_local_minima_criterion(t) == VERDICT_NO_LOCAL_MINIMA
 
     def test_toll_graph_unknown(self, toll_graph_task):
         assert no_local_minima_criterion(toll_graph_task) == UNKNOWN
+
+    def test_streaming_scan_matches_eager_reference(self):
+        tasks = [random_task(seed, max_facts=7, max_actions=8)
+                 for seed in range(400)]
+        tasks += [generate(GeneratorSpec(domain, params, 0)) for domain, params
+                  in (("movie", {}), ("road-graph", {}),
+                      ("toll-road-graph", {}), ("transport-swap", {}),
+                      ("gripper", {"balls": 3}),
+                      ("simple-tsp", {"locations": 5}))]
+        verdicts = set()
+        for t in tasks:
+            verdict = no_local_minima_criterion(t)
+            assert verdict == _eager_no_local_minima(t), t.name
+            verdicts.add(verdict)
+        assert verdicts == {UNKNOWN, VERDICT_NO_LOCAL_MINIMA}
+
+    def test_tsp6_scan_stays_small_in_memory(self):
+        t = generate(GeneratorSpec("simple-tsp", {"locations": 6}, 0))
+        tracemalloc.start()
+        try:
+            verdict = no_local_minima_criterion(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == UNKNOWN
+        assert peak < 32 * 2**20
+
+
+def _eager_no_local_minima(task):
+    """The criterion as a full list-building scan: for each action, every
+    conflict instance of the pruned tree is collected before any candidate
+    leaf is checked against it."""
+    if any(f.at_least_invertible is None
+           for f in action_flags(task, compute_mutexes(task))):
+        return UNKNOWN
+    fgt = build_fgt(task)
+    if fgt.truncated:
+        return UNKNOWN
+    lca = _make_lca(fgt, _node_depths(fgt))
+    nodes_of = {}
+    for nid in range(1, fgt.size):
+        nodes_of.setdefault((fgt.kinds[nid], fgt.labels[nid]), []).append(nid)
+
+    def compatible_leaf(nf, conflict_nodes):
+        for n in conflict_nodes:
+            w = lca(nf, n)
+            if w == nf or (w != n and fgt.kinds[w] != 'A'):
+                return False
+        return True
+
+    for a in task.actions:
+        if not a.delete:
+            continue
+        excluded = [False] * fgt.size
+        for nid in range(1, fgt.size):
+            excluded[nid] = excluded[fgt.parents[nid]] or (
+                fgt.kinds[nid] == 'A' and fgt.labels[nid] == a.id)
+        candidates = [nid for f in sorted(a.delete)
+                      for nid in nodes_of.get(('F', f), ())
+                      if not excluded[nid]]
+        instances = [(d, anc) for d, anc, _ in
+                     _ancestor_conflicts(fgt, task, excluded)]
+        for aid, bid in _deletion_pairs(task):
+            instances += [
+                (n1, n2) for n1 in nodes_of.get(('A', aid), ())
+                for n2 in nodes_of.get(('A', bid), ())
+                if not (excluded[n1] or excluded[n2])
+                and lca(n1, n2) not in (n1, n2)
+                and fgt.kinds[lca(n1, n2)] == 'A']
+        if any(compatible_leaf(nf, nodes)
+               for nodes in instances for nf in candidates):
+            return UNKNOWN
+    return VERDICT_NO_LOCAL_MINIMA
 
 
 class TestAnalyzeTask:
@@ -350,7 +427,7 @@ def test_lemma_verdicts_match_enumerated_classes(seed):
     if rep.lemma1:
         assert cls == "Undirected"
     # the recoverability guarantee presupposes a solvable instance
-    if rep.lemma2 and space.gd[0] is not INF:
+    if rep.lemma2 and space.gd[0] != INF:
         assert cls in {"Undirected", "Harmless"}
 
 

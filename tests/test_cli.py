@@ -10,7 +10,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from plantopo.cli import main
+from plantopo.cli import SIZE_PARAMS, main
+from plantopo.generators import PARAMS
 
 HERE = pathlib.Path(__file__).parent
 ROOT = HERE.parent
@@ -70,6 +71,13 @@ class TestGen:
         res = runner.invoke(main, ["gen", "--domain", "gripper",
                                    "--param", "balls=0"])
         assert res.exit_code == 1
+
+    def test_misspelled_parameter_exits_one(self, runner):
+        res = runner.invoke(main, ["gen", "--domain", "logistics",
+                                   "--param", "city_size=5"])
+        assert res.exit_code == 1
+        assert "city_size" in res.output
+        assert "accepted: airplanes, cities, packages, size" in res.output
 
     def test_malformed_parameter_exits_two(self, runner):
         res = runner.invoke(main, ["gen", "--domain", "gripper",
@@ -220,6 +228,10 @@ class TestTaxonomy:
         res = runner.invoke(main, ["taxonomy", "warehouse", "--sizes", "1"])
         assert res.exit_code == 1
         assert "gripper" in res.output
+
+    def test_every_size_parameter_is_accepted(self):
+        for domain, key in SIZE_PARAMS.items():
+            assert key in PARAMS[domain], domain
 
 
 class TestDispatch:

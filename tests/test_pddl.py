@@ -167,6 +167,15 @@ class TestGeneratorContracts:
         with pytest.raises(ValueError):
             generate(GeneratorSpec("hanoi", {"discs": 0}, 0))
 
+    def test_misspelled_parameter_names_accepted_keys(self):
+        for call in (generate, pddl_texts):
+            with pytest.raises(ValueError) as exc:
+                call(GeneratorSpec("logistics", {"city_size": 5}, 0))
+            assert "city_size" in str(exc.value)
+            assert "airplanes, cities, packages, size" in str(exc.value)
+        with pytest.raises(ValueError, match="accepted: none"):
+            generate(GeneratorSpec("transport-swap", {"n": 1}, 0))
+
     def test_gripper_shape(self):
         task = generate(GeneratorSpec("gripper", {"balls": 2}, 0))
         goal_names = sorted(task.facts[f].name for f in task.goal)

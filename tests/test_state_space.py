@@ -165,7 +165,7 @@ class TestExitDistance:
             space = enumerate_space(t, H_FF, max_states=20_000)
             for sid in range(len(space.states)):
                 h = space.h[sid]
-                if h is INF or h == 0:
+                if h == INF or h == 0:
                     continue
                 is_exit = any(space.h[v] < h for _, v in space.transitions[sid])
                 assert (exit_distance(space, sid) == 0) == is_exit
@@ -282,7 +282,7 @@ class TestExportDot:
     def test_levels_share_ranks(self):
         _, space = space_of("gripper", {"balls": 1})
         text = export_dot(space)
-        levels = {v for v in space.h if v is not INF}
+        levels = {v for v in space.h if v != INF}
         assert text.count("rank=same") == len(levels)
 
     def test_deterministic(self, held_arm_task):
