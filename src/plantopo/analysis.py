@@ -595,7 +595,8 @@ def _conflict_instances(fgt, task, excluded, by_label, lca, deletion_pairs):
                     yield n1, n2
 
 
-def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
+def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
+                              fgt: Fgt | None = None) -> str:
     """Sufficient test for the absence of local minima under the optimal
     relaxed-plan-length heuristic.
 
@@ -607,13 +608,15 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
     node pair and some fact node labeled with a deleted fact of a are
     pairwise compatible (root paths meeting in AND nodes or along one
     branch) with the fact node below or beside - never above - the
-    conflict.
+    conflict.  ``fgt``, when given, is ``build_fgt(task, cap)`` already
+    built by the caller.
     """
     mx = compute_mutexes(task)
     flags = action_flags(task, mx)
     if any(f.at_least_invertible is None for f in flags):
         return UNKNOWN
-    fgt = build_fgt(task, cap)
+    if fgt is None:
+        fgt = build_fgt(task, cap)
     if fgt.truncated:
         return UNKNOWN
     depth = _node_depths(fgt)
@@ -667,7 +670,7 @@ def analyze_task(task: Task, cap: int = DEFAULT_NODE_CAP,
     if not fgt.truncated and fgt.size <= conflict_detail_cap:
         report.conflicts = find_conflicts(fgt, task)
     report.interaction_free_verdict = interaction_free_verdict(task, cap)
-    report.no_local_minima_verdict = no_local_minima_criterion(task, cap)
+    report.no_local_minima_verdict = no_local_minima_criterion(task, cap, fgt)
     return report
 
 

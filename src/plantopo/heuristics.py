@@ -10,7 +10,6 @@ Values are naturals, with ``INF`` (float infinity) for unsolvable states.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import ResourceExhausted
@@ -93,108 +92,150 @@ def _h_max(task: Task, s):
 
 
 class _LandmarkCutter:
-    """Disjunctive-action-landmark machinery over the delete relaxation.
+    """LM-cut over the delete relaxation, with tables built once per task.
 
-    Repeatedly: compute cost-sensitive layer values under the current action
-    costs, pick for every action its costliest precondition as supporter,
-    collect the zone of facts connected to the costliest goal fact through
-    zero-cost supporter steps, and cut the positive-cost actions whose effect
-    enters that zone from a supporter outside it.  Every relaxed plan must
+    The tables are lists indexed by action or fact id: each action's
+    preconditions and add effects, and per fact the actions that need it
+    (``pre_index``) and the actions that add it (``achievers``).  A
+    precondition-free action gets the artificial fact ``len(task.facts)``,
+    true in every state, as its one precondition.
+
+    ``rounds`` repeatedly takes h_max values under the current action
+    costs, with a costliest precondition of every action as its supporter,
+    collects the zone of facts connected to the costliest goal fact through
+    zero-cost supporter steps, and cuts the positive-cost achievers of zone
+    facts whose supporter lies outside the zone.  Every relaxed plan must
     use an action of each cut, so charging and removing the cut's minimum
-    cost yields an admissible lower bound that dominates the layer bound.
+    cost yields an admissible lower bound that dominates h_max.  A call
+    runs one full exploration; after a cut only the cut actions got
+    cheaper, so ``_lower`` propagates the decrease from them and recomputes
+    the maximum of an action only when its supporter got cheaper.
     """
 
-    def __init__(self, task: Task, s):
+    def __init__(self, task: Task):
         self.task = task
-        self.init = frozenset(s)
-        self.n = len(task.actions)
-        self.pre_count = [len(a.pre) for a in task.actions]
+        self.top = top = len(task.facts)
+        self.goal = sorted(task.goal)
+        self.pres = [sorted(a.pre) or [top] for a in task.actions]
         self.adds = [sorted(a.add) for a in task.actions]
-        self.pre_index = {}
-        self.achievers = {}
-        for a in task.actions:
-            for p in a.pre:
-                self.pre_index.setdefault(p, []).append(a.id)
-            for f in a.add:
-                self.achievers.setdefault(f, []).append(a.id)
+        self.pre_count = [len(pre) for pre in self.pres]
+        self.pre_index = [[] for _ in range(top + 1)]
+        self.achievers = [[] for _ in range(top + 1)]
+        for aid, (pre, add) in enumerate(zip(self.pres, self.adds)):
+            for p in pre:
+                self.pre_index[p].append(aid)
+            for f in add:
+                self.achievers[f].append(aid)
 
-    def _layers(self, cost):
-        """Cost-sensitive layer values; cost[aid] is None for excluded
-        actions.  Returns (fact value map, supporter map, reached flags)."""
-        val = {f: 0 for f in self.init}
-        heap = [(0, f) for f in self.init]
-        heapq.heapify(heap)
+    def _explore(self, s, cost):
+        """h_max from state s; cost[aid] is None for excluded actions.
+        Returns (val, supp): per fact its value (INF when unreached), per
+        action its supporter (-1 when unreached or excluded).
+
+        Costs are naturals, so facts wait in one list per value (a bucket
+        queue) and leave in order of value."""
+        val = [INF] * (self.top + 1)
+        first = list(s)
+        first.append(self.top)
+        for f in first:
+            val[f] = 0
+        buckets = [first]
         remaining = self.pre_count[:]
-        supporter = {}
-        reached = [False] * self.n
-        for aid in range(self.n):
-            if cost[aid] is None:
-                remaining[aid] = -1
-            elif remaining[aid] == 0:
-                # precondition-free: supported by the always-true pseudo-fact
-                reached[aid] = True
-                supporter[aid] = None
-                v = cost[aid]
-                for f in self.adds[aid]:
-                    if val.get(f, INF) > v:
-                        val[f] = v
-                        heapq.heappush(heap, (v, f))
-        done = set()
-        while heap:
-            d, f = heapq.heappop(heap)
-            if f in done:
-                continue
-            done.add(f)
-            for aid in self.pre_index.get(f, ()):
-                if remaining[aid] <= 0:
+        supp = [-1] * len(remaining)
+        pre_index, adds = self.pre_index, self.adds
+        d = 0
+        while d < len(buckets):
+            for f in buckets[d]:
+                if val[f] != d:
                     continue
-                remaining[aid] -= 1
-                # facts pop in (value, id) order: the last one is the
-                # costliest precondition, ties broken by highest fact id
-                supporter[aid] = f
-                if remaining[aid] == 0:
-                    reached[aid] = True
-                    v = cost[aid] + d
-                    for g in self.adds[aid]:
-                        if val.get(g, INF) > v:
-                            val[g] = v
-                            heapq.heappush(heap, (v, g))
-        return val, supporter, reached
+                for aid in pre_index[f]:
+                    remaining[aid] -= 1
+                    # the last precondition to leave is a costliest one
+                    if remaining[aid] == 0 and cost[aid] is not None:
+                        supp[aid] = f
+                        v = cost[aid] + d
+                        for g in adds[aid]:
+                            if v < val[g]:
+                                val[g] = v
+                                while len(buckets) <= v:
+                                    buckets.append([])
+                                buckets[v].append(g)
+            d += 1
+        return val, supp
 
-    def rounds(self, cost):
-        """Run cut rounds on (and consume) ``cost``.
+    def _lower(self, val, supp, cost, cut):
+        """Bring val and supp up to date after the costs of ``cut`` fell:
+        only facts whose value drops are queued, and an action's maximum is
+        recomputed (ties to the highest fact id) only when its supporter
+        drops."""
+        pres, adds, pre_index = self.pres, self.adds, self.pre_index
+        buckets = []
+        for aid in cut:
+            v = cost[aid] + val[supp[aid]]
+            for g in adds[aid]:
+                if v < val[g]:
+                    val[g] = v
+                    while len(buckets) <= v:
+                        buckets.append([])
+                    buckets[v].append(g)
+        d = 0
+        while d < len(buckets):
+            for f in buckets[d]:
+                if val[f] != d:
+                    continue
+                for aid in pre_index[f]:
+                    if supp[aid] != f:
+                        continue    # a cheaper non-supporter leaves the max
+                    p, vp = f, d
+                    for q in pres[aid]:
+                        vq = val[q]
+                        if vq > vp or (vq == vp and q > p):
+                            p, vp = q, vq
+                    supp[aid] = p
+                    v = cost[aid] + vp
+                    for g in adds[aid]:
+                        if v < val[g]:
+                            val[g] = v
+                            while len(buckets) <= v:
+                                buckets.append([])
+                            buckets[v].append(g)
+            d += 1
+
+    def rounds(self, s, cost):
+        """Run cut rounds from state s on (and consume) ``cost``, where
+        cost[aid] is a natural, or None for excluded actions.
 
         Returns (total charged cost, first cut found).  Total is INF when
         the goal is unreachable with the non-excluded actions.
         """
-        goal = self.task.goal
-        if goal <= self.init:
+        if self.task.goal.issubset(s):
             return 0, None
+        val, supp = self._explore(s, cost)
+        achievers = self.achievers
         total = 0
         first_cut = None
         while True:
-            val, supporter, reached = self._layers(cost)
-            gf = max(goal, key=lambda g: (val.get(g, INF), g))
-            gc = val.get(gf, INF)
+            gc, gf = max((val[g], g) for g in self.goal)
             if gc == INF:
                 return INF, None
             if gc == 0:
                 return total, first_cut
             zone = {gf}
             stack = [gf]
+            entering = []
             while stack:
                 f = stack.pop()
-                for aid in self.achievers.get(f, ()):
-                    if reached[aid] and cost[aid] == 0:
-                        p = supporter[aid]
-                        if p is not None and p not in zone:
+                for aid in achievers[f]:
+                    p = supp[aid]
+                    if p < 0:
+                        continue
+                    if cost[aid] == 0:
+                        if p not in zone:
                             zone.add(p)
                             stack.append(p)
-            cut = sorted(
-                aid for aid in range(self.n)
-                if reached[aid] and cost[aid] > 0
-                and supporter[aid] not in zone
-                and any(f in zone for f in self.adds[aid]))
+                    else:
+                        entering.append(aid)
+            cut = sorted({aid for aid in entering if supp[aid] not in zone})
             if not cut:
                 return total, first_cut
             if first_cut is None:
@@ -203,11 +244,24 @@ class _LandmarkCutter:
             total += m
             for aid in cut:
                 cost[aid] -= m
+            self._lower(val, supp, cost, cut)
+
+
+_last_cutter = None
+
+
+def _cutter(task: Task) -> _LandmarkCutter:
+    """The cutter of ``task``; only the last task's tables are kept."""
+    global _last_cutter
+    cutter = _last_cutter
+    if cutter is None or cutter.task is not task:
+        cutter = _last_cutter = _LandmarkCutter(task)
+    return cutter
 
 
 def _h_landmark_cut(task: Task, s):
     """Landmark lower bound for the optimal relaxed-plan length."""
-    return _LandmarkCutter(task, s).rounds([1] * len(task.actions))[0]
+    return _cutter(task).rounds(s, [1] * len(task.actions))[0]
 
 
 def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
@@ -323,6 +377,9 @@ def h_plus(task: Task, s, budget: int | None = None):
     partitions the candidate plans.  A branch closes when the goal becomes
     reachable through committed actions alone, and is pruned when the paid
     cost plus the landmark bound reaches the incumbent (seeded by h_ff).
+    Each node's bound and cut come from one ``rounds`` call on the task's
+    ``_LandmarkCutter``, whose tables are built once per task: one full
+    h_max exploration per node, then incremental updates after each cut.
     Agrees with h_plus_oracle everywhere.
     """
     ub, _ = h_ff(task, s)
@@ -330,9 +387,9 @@ def h_plus(task: Task, s, budget: int | None = None):
         return INF
     if _h_max(task, s) == ub:
         return ub
-    cutter = _LandmarkCutter(task, s)
+    cutter = _cutter(task)
     n = len(task.actions)
-    lb0, _ = cutter.rounds([1] * n)
+    lb0, _ = cutter.rounds(s, [1] * n)
     if lb0 == ub:
         return ub
     best = [ub]
@@ -345,7 +402,7 @@ def h_plus(task: Task, s, budget: int | None = None):
                 raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
         cost = [0 if aid in included else (None if aid in excluded else 1)
                 for aid in range(n)]
-        total, cut = cutter.rounds(cost)
+        total, cut = cutter.rounds(s, cost)
         if total == INF or paid + total >= best[0]:
             return
         if total == 0:

@@ -43,9 +43,6 @@ class StateSpace:
     def size(self):
         return len(self.states)
 
-    def successors(self, sid):
-        return self.transitions[sid]
-
 
 @dataclass
 class Plateau:

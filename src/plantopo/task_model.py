@@ -63,9 +63,6 @@ class Task:
     fact_by_name: dict = field(default_factory=dict, compare=False, repr=False)
     action_by_name: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def fact_name(self, fid: int) -> str:
-        return self.facts[fid].name
-
     def action(self, aid: int) -> GroundAction:
         return self.actions[aid]
 

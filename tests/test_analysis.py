@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plantopo import analysis
 from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
     Conflict, UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
     VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
@@ -337,6 +338,19 @@ class TestAnalyzeTask:
         assert rep.conflicts is None
         assert rep.interaction_free_verdict == UNKNOWN
         assert rep.no_local_minima_verdict == UNKNOWN
+
+    @pytest.mark.parametrize("family,params", [
+        ("movie", {}), ("toll-road-graph", {}), ("simple-tsp", {"locations": 5}),
+        ("logistics", {"cities": 1, "size": 3, "packages": 2}),
+    ])
+    def test_builds_the_regression_tree_once(self, monkeypatch, family, params):
+        t = generate(GeneratorSpec(family, params, 0))
+        standalone = no_local_minima_criterion(t)
+        calls = []
+        monkeypatch.setattr(analysis, "build_fgt",
+                            lambda *a: calls.append(a) or build_fgt(*a))
+        assert analyze_task(t).no_local_minima_verdict == standalone
+        assert len(calls) == 1
 
 
 class TestValidateRespected:

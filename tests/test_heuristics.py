@@ -1,19 +1,22 @@
 """Heuristic evaluators: exact relaxed length, oracle, layered extraction."""
 
+import dataclasses
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF, _h_landmark_cut, _h_max, \
-    build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
+from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, \
+    _h_landmark_cut, _h_max, build_rpg, h_ff, h_goalcount, h_plus, \
+    h_plus_oracle
 from plantopo.task_model import make_task, validate_plan
 
 from conftest import random_single_achiever_task, random_task, \
-    random_unary_task, random_walk_state
+    random_unary_task, random_walk_state, reachable_states
 
 
 class TestHPlus:
@@ -41,6 +44,91 @@ class TestHPlus:
         assert h_ff(t, s)[0] > h_plus(t, s)
         with pytest.raises(ResourceExhausted):
             h_plus(t, s, budget=0)
+
+
+def _h_max_by_value_iteration(task, s, cost):
+    """Fact values and, per action, its maximum precondition value (0
+    without preconditions, None when excluded or unreached), by plain value
+    iteration under ``cost`` (None: excluded)."""
+    val = {f: 0 for f in s}
+    changed = True
+    while changed:
+        changed = False
+        for a in task.actions:
+            if cost[a.id] is None or not a.pre <= val.keys():
+                continue
+            v = cost[a.id] + max((val[p] for p in a.pre), default=0)
+            for g in a.add:
+                if v < val.get(g, INF):
+                    val[g] = v
+                    changed = True
+    pre_max = [max((val[p] for p in a.pre), default=0)
+               if cost[a.id] is not None and a.pre <= val.keys() else None
+               for a in task.actions]
+    return val, pre_max
+
+
+class TestLandmarkCutter:
+    def test_incremental_h_max_matches_fresh_exploration(self):
+        rng = random.Random(11)
+        cuts = [0]
+
+        def check(t, s, cost, val, supp):
+            fresh_val, fresh_pre_max = _h_max_by_value_iteration(t, s, cost)
+            assert val[len(t.facts)] == 0       # the artificial fact
+            assert {f: v for f, v in enumerate(val[:-1]) if v != INF} == fresh_val
+            # every reached action's supporter is a costliest precondition
+            assert [val[p] if p >= 0 else None for p in supp] == fresh_pre_max
+
+        for seed in range(200):
+            t = random_task(seed)
+            for k in range(5):
+                s = random_walk_state(t, rng)
+                cost = [rng.choice([None, 0, 1, 1, 2, 3]) if k else 1
+                        for _ in t.actions]
+                cutter = _LandmarkCutter(t)
+                explore, lower = cutter._explore, cutter._lower
+
+                def explored(s_, cost_):
+                    val, supp = explore(s_, cost_)
+                    check(t, s, cost_, val, supp)
+                    return val, supp
+
+                def lowered(val, supp, cost_, cut):
+                    lower(val, supp, cost_, cut)
+                    check(t, s, cost_, val, supp)
+                    cuts[0] += 1
+
+                cutter._explore, cutter._lower = explored, lowered
+                cutter.rounds(s, cost)
+        assert cuts[0] > 200
+
+    def test_alternating_tasks_give_fresh_values(self, monkeypatch):
+        # same facts and actions, another goal: tables kept for the wrong
+        # task would give wrong values without failing
+        a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 4}, 0))
+        b = dataclasses.replace(
+            a, goal=random_walk_state(a, random.Random(99), 20))
+        rng = random.Random(3)
+        states = [random_walk_state(a, rng, 12) for _ in range(40)]
+
+        def fresh(t, s):
+            monkeypatch.setattr(heuristics, "_last_cutter", None)
+            return h_plus(t, s)
+
+        expected = [(fresh(a, s), fresh(b, s)) for s in states]
+        assert sum(x != y for x, y in expected) > 10
+        assert [(h_plus(a, s), h_plus(b, s)) for s in states] == expected
+
+    @pytest.mark.parametrize("family,params", [
+        ("blocksworld-arm-stack", {"n": 3}),
+        ("blocksworld-no-arm-stack", {"n": 3}),
+        ("gripper", {"balls": 3}),
+    ])
+    def test_h_plus_matches_oracle_on_whole_space(self, family, params):
+        t = generate(GeneratorSpec(family, params, 0))
+        for s in reachable_states(t):
+            assert h_plus(t, s) == h_plus_oracle(t, s)
 
 
 class TestOracle:
