@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated, Truncated
-from .heuristics import INF, h_plus
+from .heuristics import INF, h_plus, memoized
 from .state_space import StateSpace
 from .task_model import GroundAction, Task
 
@@ -688,31 +688,19 @@ def validate_respected(task: Task, space: StateSpace) -> dict:
     effects equals the optimal relaxed length of s.  Returns per action id a
     dict with ``respected`` and the counterexample state ids.
     """
-    relaxed_cache = {}
-
-    def h_relaxed_succ(s, a):
-        key = frozenset(s | a.add)
-        v = relaxed_cache.get(key)
-        if v is None:
-            v = h_plus(task, key)
-            relaxed_cache[key] = v
-        return v
-
-    out = {}
-    for a in task.actions:
-        counterexamples = []
-        for sid, s in enumerate(space.states):
-            if space.gd[sid] == INF or not a.pre <= s:
-                continue
-            ns = frozenset((s | a.add) - a.delete)
-            nid = space.index[ns]
+    h_relaxed = memoized(h_plus, task)
+    counterexamples = {a.id: [] for a in task.actions}
+    for sid, succs in enumerate(space.transitions):
+        if space.gd[sid] == INF:
+            continue
+        s = space.states[sid]
+        for aid, nid in succs:
             if space.gd[nid] != space.gd[sid] - 1:
                 continue                       # a does not start an optimal plan
-            if 1 + h_relaxed_succ(s, a) != space.h[sid]:
-                counterexamples.append(sid)
-        out[a.id] = {"respected": not counterexamples,
-                     "counterexamples": counterexamples}
-    return out
+            if 1 + h_relaxed(task, s | task.actions[aid].add) != space.h[sid]:
+                counterexamples[aid].append(sid)
+    return {aid: {"respected": not ids, "counterexamples": ids}
+            for aid, ids in counterexamples.items()}
 
 
 def validate_rp_irrelevant_deletes(task: Task, s, a: GroundAction) -> bool:

@@ -71,26 +71,6 @@ def h_goalcount(task: Task, s):
     return len(task.goal - s)
 
 
-def _h_max(task: Task, s):
-    """Max over goal facts of the first relaxed layer of appearance (admissible
-    lower bound for the optimal relaxed-plan length)."""
-    facts = set(s)
-    remaining = set(task.goal) - facts
-    level = 0
-    while remaining:
-        new = set()
-        for a in task.actions:
-            if a.pre <= facts:
-                new |= a.add
-        new -= facts
-        if not new:
-            return INF
-        facts |= new
-        level += 1
-        remaining -= new
-    return level
-
-
 class _LandmarkCutter:
     """LM-cut over the delete relaxation, with tables built once per task.
 
@@ -385,8 +365,6 @@ def h_plus(task: Task, s, budget: int | None = None):
     ub, _ = h_ff(task, s)
     if ub == INF:
         return INF
-    if _h_max(task, s) == ub:
-        return ub
     cutter = _cutter(task)
     n = len(task.actions)
     lb0, _ = cutter.rounds(s, [1] * n)

@@ -22,7 +22,7 @@ from .generators import generate
 from .heuristics import HEURISTICS, INF, memoized
 from .search import OUTCOME_SOLVED, enforced_hill_climbing
 from .state_space import DEFAULT_MAX_STATES
-from .task_model import Task, is_goal
+from .task_model import Task, apply, is_goal, successors
 
 
 @dataclass
@@ -93,8 +93,7 @@ def sample_states(task: Task, cfg: SampleConfig) -> list:
             applicable = [a for a in task.actions if a.pre <= s]
             if not applicable:
                 break
-            a = rng.choice(applicable)
-            s = frozenset((s | a.add) - a.delete)
+            s = apply(task, s, rng.choice(applicable))
         samples.append(s)
     return samples
 
@@ -111,10 +110,7 @@ def on_valley(task: Task, s, heuristic, max_states: int = DEFAULT_MAX_STATES) ->
     while queue:
         u = queue.popleft()
         hu = h(task, u)
-        for a in task.actions:
-            if not a.pre <= u:
-                continue
-            v = frozenset((u | a.add) - a.delete)
+        for _, v in successors(task, u):
             if v in seen or h(task, v) > hu:
                 continue
             if is_goal(task, v):
@@ -138,13 +134,9 @@ def sampled_exit_distance(task: Task, s, heuristic,
         raise PreconditionViolated(
             "exit distance requires a finite, nonzero heuristic value")
 
-    def successors(u):
-        return [frozenset((u | a.add) - a.delete)
-                for a in task.actions if a.pre <= u]
-
     def is_exit(u):
         return h(task, u) == level and \
-            any(h(task, v) < level for v in successors(u))
+            any(h(task, v) < level for _, v in successors(task, u))
 
     if is_exit(start):
         return 0
@@ -152,7 +144,7 @@ def sampled_exit_distance(task: Task, s, heuristic,
     queue = deque([(start, 0)])
     while queue:
         u, d = queue.popleft()
-        for v in successors(u):
+        for _, v in successors(task, u):
             if v in seen:
                 continue
             if is_exit(v):

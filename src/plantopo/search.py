@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
 from .heuristics import INF
-from .task_model import Task, is_goal
+from .task_model import Task, is_goal, successors
 
 OUTCOME_SOLVED = "Solved"
 OUTCOME_FAILED = "Failed"
@@ -65,10 +65,7 @@ def enforced_hill_climbing(task: Task, heuristic, budget: int = 1_000_000) -> Se
         try:
             while queue:
                 s, path = queue.popleft()
-                for a in task.actions:
-                    if not a.pre <= s:
-                        continue
-                    ns = frozenset((s | a.add) - a.delete)
+                for a, ns in successors(task, s):
                     if ns in closed:
                         continue
                     closed.add(ns)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ResourceExhausted
 from .heuristics import INF
-from .task_model import Task, is_goal
+from .task_model import Task, is_goal, successors
 
 PLATEAU_RECOGNIZED_DEAD_END = "RecognizedDeadEnd"
 PLATEAU_LOCAL_MINIMUM = "LocalMinimum"
@@ -79,19 +79,17 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
         sid = frontier.popleft()
         s = states[sid]
         succs = []
-        for a in task.actions:
-            if a.pre <= s:
-                ns = frozenset((s | a.add) - a.delete)
-                nid = index.get(ns)
-                if nid is None:
-                    if len(states) >= max_states:
-                        raise ResourceExhausted(
-                            f"state cap of {max_states} exceeded during enumeration")
-                    nid = len(states)
-                    index[ns] = nid
-                    states.append(ns)
-                    frontier.append(nid)
-                succs.append((a.id, nid))
+        for a, ns in successors(task, s):
+            nid = index.get(ns)
+            if nid is None:
+                if len(states) >= max_states:
+                    raise ResourceExhausted(
+                        f"state cap of {max_states} exceeded during enumeration")
+                nid = len(states)
+                index[ns] = nid
+                states.append(ns)
+                frontier.append(nid)
+            succs.append((a.id, nid))
         transitions.append(succs)
 
     h = [heuristic(task, s) for s in states]

@@ -113,6 +113,14 @@ def apply(task: Task, s, a: GroundAction):
     return frozenset((s | a.add) - a.delete)
 
 
+def successors(task: Task, s):
+    """Yield (action, successor) for each action applicable in s, in
+    action-id order; the successor is computed as in ``apply``."""
+    for a in task.actions:
+        if a.pre <= s:
+            yield a, frozenset((s | a.add) - a.delete)
+
+
 def apply_sequence(task: Task, s, seq):
     """Left fold of apply over a sequence; UNDEFINED is absorbing."""
     cur = s

@@ -17,7 +17,7 @@ from plantopo.analysis import _ancestor_conflicts, _deletion_pairs, \
     _make_lca, _node_depths
 from plantopo.errors import PreconditionViolated, Truncated
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF
+from plantopo.heuristics import HEURISTICS, INF, h_plus
 from plantopo.state_space import dead_end_class, enumerate_space, plateaus
 from plantopo.task_model import apply_sequence, make_task
 
@@ -373,6 +373,37 @@ class TestValidateRespected:
         space = enumerate_space(t, H_PLUS)
         out = validate_respected(t, space)
         assert all(v["respected"] for v in out.values())
+
+    def test_matches_per_action_scan(self, transport_task, held_arm_task):
+        tasks = [transport_task, held_arm_task,
+                 generate(GeneratorSpec("simple-tsp", {"locations": 3}, 0)),
+                 # several counterexamples per action, so their order counts
+                 generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))]
+        tasks += [random_task(seed) for seed in range(30)]
+        for t in tasks:
+            space = enumerate_space(t, H_PLUS)
+            out = validate_respected(t, space)
+            assert list(out.items()) == \
+                list(_respected_per_action_scan(t, space).items()), t.name
+
+
+def _respected_per_action_scan(task, space):
+    """validate_respected's reference: one scan over the states per action,
+    re-deriving each successor and looking it up in the space's index."""
+    out = {}
+    for a in task.actions:
+        counterexamples = []
+        for sid, s in enumerate(space.states):
+            if space.gd[sid] == INF or not a.pre <= s:
+                continue
+            nid = space.index[frozenset((s | a.add) - a.delete)]
+            if space.gd[nid] != space.gd[sid] - 1:
+                continue
+            if 1 + h_plus(task, s | a.add) != space.h[sid]:
+                counterexamples.append(sid)
+        out[a.id] = {"respected": not counterexamples,
+                     "counterexamples": counterexamples}
+    return out
 
 
 class TestRpIrrelevantDeletes:

@@ -11,7 +11,7 @@ from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, \
-    _h_landmark_cut, _h_max, build_rpg, h_ff, h_goalcount, h_plus, \
+    _h_landmark_cut, build_rpg, h_ff, h_goalcount, h_plus, \
     h_plus_oracle
 from plantopo.task_model import make_task, validate_plan
 
@@ -296,8 +296,10 @@ def test_lower_bounds_are_admissible(seed, walk):
     t = random_task(seed)
     s = random_walk_state(t, random.Random(walk))
     exact = h_plus(t, s)
-    layer = _h_max(t, s)
+    goal_layer = build_rpg(t, s).goal_layer
+    layer = INF if goal_layer is None else goal_layer
     landmark = _h_landmark_cut(t, s)
+    assert layer <= landmark        # LM-cut dominates h_max
     if exact == INF:
         assert landmark is INF
     else:

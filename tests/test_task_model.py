@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plantopo.task_model import UNDEFINED, GroundAction, apply, \
-    apply_sequence, is_goal, make_task, relax, validate_plan
+    apply_sequence, is_goal, make_task, relax, successors, validate_plan
 
 from conftest import random_task, random_walk_state
 
@@ -123,6 +123,19 @@ class TestNormalization:
             t = random_task(seed)
             for a in t.actions:
                 assert not (a.add & a.delete)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), walk=st.integers(0, 10_000))
+def test_successors_are_the_defined_applications(seed, walk):
+    t = random_task(seed)
+    s = random_walk_state(t, random.Random(walk))
+    listed = list(successors(t, s))
+    assert [a.id for a, _ in listed] == \
+        [a.id for a in t.actions if apply(t, s, a) is not UNDEFINED]
+    for a, ns in listed:
+        assert ns == apply(t, s, a)
+        assert type(ns) is frozenset
 
 
 @settings(max_examples=60, deadline=None)
