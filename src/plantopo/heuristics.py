@@ -38,31 +38,27 @@ class RelaxedPlan:
 
 
 def build_rpg(task: Task, s) -> RelaxedPlanningGraph:
-    """Layered delete-free fixpoint from s; stops at goal or fixpoint."""
-    facts = frozenset(s)
-    fact_layers = [facts]
-    action_layers = []
-    first_level = {f: 0 for f in facts}
-    goal_layer = 0 if task.goal <= facts else None
-    applied = set()
-    while goal_layer is None:
-        layer_actions = []
-        new_facts = set()
-        for a in task.actions:
-            if a.id not in applied and a.pre <= facts:
-                applied.add(a.id)
-            if a.id in applied:
-                layer_actions.append(a.id)
-                new_facts |= a.add - facts
-        action_layers.append(layer_actions)
-        if not new_facts:
-            break
-        facts = facts | new_facts
-        for f in facts:
-            first_level.setdefault(f, len(fact_layers))
-        fact_layers.append(facts)
-        if task.goal <= facts:
-            goal_layer = len(fact_layers) - 1
+    """Layered delete-free graph from s, up to the first goal layer or, when
+    the goal is unreachable, the fixpoint.
+
+    The layers are read off the unit-cost h_max values of the task's
+    ``_LandmarkCutter`` (``levels``): a fact first appears at layer
+    ``val[f]``, and an action is applicable from the layer of its costliest
+    precondition on."""
+    cutter = _cutter(task)
+    val, supp = cutter.levels(s)
+    goal_layer = max((val[g] for g in cutter.goal), default=0)
+    if goal_layer == INF:
+        goal_layer = None
+        last = max(v for v in val if v != INF)
+        n_action_layers = last + 1      # the last one adds nothing new
+    else:
+        last = n_action_layers = goal_layer
+    first_level = {f: v for f, v in enumerate(val[:cutter.top]) if v <= last}
+    fact_layers = [frozenset(f for f, v in first_level.items() if v <= i)
+                   for i in range(last + 1)]
+    action_layers = [[aid for aid, p in enumerate(supp) if p >= 0 and val[p] <= i]
+                     for i in range(n_action_layers)]
     return RelaxedPlanningGraph(fact_layers, action_layers, first_level, goal_layer)
 
 
@@ -79,6 +75,9 @@ class _LandmarkCutter:
     (``pre_index``) and the actions that add it (``achievers``).  A
     precondition-free action gets the artificial fact ``len(task.facts)``,
     true in every state, as its one precondition.
+
+    ``levels`` (h_max at unit costs) is also FF's relaxed planning graph
+    (Bonet & Geffner 2001): a fact's value is the layer it first appears in.
 
     ``rounds`` repeatedly takes h_max values under the current action
     costs, with a costliest precondition of every action as its supporter,
@@ -99,6 +98,7 @@ class _LandmarkCutter:
         self.pres = [sorted(a.pre) or [top] for a in task.actions]
         self.adds = [sorted(a.add) for a in task.actions]
         self.pre_count = [len(pre) for pre in self.pres]
+        self.unit = [1] * len(task.actions)
         self.pre_index = [[] for _ in range(top + 1)]
         self.achievers = [[] for _ in range(top + 1)]
         for aid, (pre, add) in enumerate(zip(self.pres, self.adds)):
@@ -142,6 +142,10 @@ class _LandmarkCutter:
                                 buckets[v].append(g)
             d += 1
         return val, supp
+
+    def levels(self, s):
+        """Unit-cost ``_explore`` from s: (val, supp)."""
+        return self._explore(s, self.unit)
 
     def _lower(self, val, supp, cost, cut):
         """Bring val and supp up to date after the costs of ``cut`` fell:
@@ -191,6 +195,11 @@ class _LandmarkCutter:
         if self.task.goal.issubset(s):
             return 0, None
         val, supp = self._explore(s, cost)
+        return self._cut(val, supp, cost)
+
+    def _cut(self, val, supp, cost):
+        """The cut rounds of ``rounds``, from h_max values ``val``/``supp``
+        already explored under ``cost``; consumes all three."""
         achievers = self.achievers
         total = 0
         first_cut = None
@@ -239,11 +248,6 @@ def _cutter(task: Task) -> _LandmarkCutter:
     return cutter
 
 
-def _h_landmark_cut(task: Task, s):
-    """Landmark lower bound for the optimal relaxed-plan length."""
-    return _cutter(task).rounds(s, [1] * len(task.actions))[0]
-
-
 def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
     """Iterative-deepening DFS over relaxed action sequences.
 
@@ -251,8 +255,8 @@ def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
     state (a minimal relaxed plan has no redundant step).  Exponential; meant
     as ground truth on small inputs only.
     """
-    rpg = build_rpg(task, s)
-    if rpg.goal_layer is None:
+    val, _ = _cutter(task).levels(s)
+    if any(val[g] == INF for g in task.goal):
         return INF
     expanded = [0]
 
@@ -281,29 +285,41 @@ def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
 def h_ff(task: Task, s, tie_break=None):
     """Relaxed-Graphplan heuristic: (value, RelaxedPlan or None).
 
-    Backward extraction from the first goal layer.  An open goal at layer i
-    is satisfied by a no-op whenever it already appears at layer i-1;
-    otherwise by an achiever from action layer i-1 minimizing the summed
+    Backward extraction from the first goal layer of the relaxed planning
+    graph, whose layers are the unit-cost h_max values of the task's
+    ``_LandmarkCutter`` (see ``build_rpg``).  An open goal at layer i is
+    satisfied by a no-op whenever it already appears at layer i-1;
+    otherwise by an achiever applicable at layer i-1 minimizing the summed
     first-appearance layers of its preconditions, ties broken by lowest
     action id (``tie_break`` may override the choice among equal-weight
     achievers, for determinism experiments).  Goals are processed highest
     layer first, FIFO within a layer; facts added by an action already
     selected at the same layer need no achiever of their own.
     """
-    rpg = build_rpg(task, s)
-    if rpg.goal_layer is None:
+    cutter = _cutter(task)
+    val, supp = cutter.levels(s)
+    return _relaxed_plan(cutter, val, supp, tie_break)
+
+
+def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
+    """``h_ff``'s extraction over ``cutter.levels`` output (val, supp)."""
+    task = cutter.task
+    m = max((val[g] for g in cutter.goal), default=0)
+    if m == INF:
         return INF, None
-    m = rpg.goal_layer
-    first = rpg.first_level
+    actions, achievers = task.actions, cutter.achievers
     open_goals = {i: [] for i in range(m + 1)}
-    for g in sorted(task.goal):
-        open_goals[m].append(g)
+    open_goals[m].extend(cutter.goal)
     selected_at = {i: [] for i in range(m + 1)}   # layer -> action ids, selection order
     added_at = {i: set() for i in range(m + 1)}   # facts added by selections at layer
     selected_layer = {}                           # action id -> layer of its selection
+    weights = {}
 
     def weight(aid):
-        return sum(first[p] for p in task.actions[aid].pre)
+        w = weights.get(aid)
+        if w is None:
+            w = weights[aid] = sum(val[p] for p in actions[aid].pre)
+        return w
 
     for i in range(m, 0, -1):
         queue = open_goals[i]
@@ -313,11 +329,12 @@ def h_ff(task: Task, s, tie_break=None):
             k += 1
             if g in added_at[i]:
                 continue
-            if g in rpg.fact_layers[i - 1]:
+            if val[g] < i:
                 open_goals[i - 1].append(g)     # no-op preferred
                 continue
-            candidates = [aid for aid in rpg.action_layers[i - 1]
-                          if g in task.actions[aid].add]
+            # achievers applicable at layer i-1, in id order
+            candidates = [aid for aid in achievers[g]
+                          if supp[aid] >= 0 and val[supp[aid]] < i]
             best_w = min(weight(aid) for aid in candidates)
             best = [aid for aid in candidates if weight(aid) == best_w]
             if tie_break is not None and len(best) > 1:
@@ -325,22 +342,16 @@ def h_ff(task: Task, s, tie_break=None):
             else:
                 choice = min(best)
             prev = selected_layer.get(choice)
-            if prev is None:
+            if prev is None or prev > i:
+                if prev is not None:
+                    # Already selected for a later layer; pull it forward so
+                    # that its single occurrence precedes this goal's
+                    # consumer, and re-open its preconditions here.
+                    selected_at[prev].remove(choice)
                 selected_layer[choice] = i
                 selected_at[i].append(choice)
-                added_at[i] |= task.actions[choice].add
-                for p in sorted(task.actions[choice].pre):
-                    open_goals[i - 1].append(p)
-            elif prev > i:
-                # Already selected for a later layer; pull it forward so that
-                # its single occurrence precedes this goal's consumer, and
-                # re-open its preconditions at the earlier position.
-                selected_at[prev].remove(choice)
-                selected_layer[choice] = i
-                selected_at[i].append(choice)
-                added_at[i] |= task.actions[choice].add
-                for p in sorted(task.actions[choice].pre):
-                    open_goals[i - 1].append(p)
+                added_at[i] |= actions[choice].add
+                open_goals[i - 1].extend(sorted(actions[choice].pre))
     plan = []
     for i in range(1, m + 1):
         plan.extend(selected_at[i])
@@ -360,14 +371,17 @@ def h_plus(task: Task, s, budget: int | None = None):
     Each node's bound and cut come from one ``rounds`` call on the task's
     ``_LandmarkCutter``, whose tables are built once per task: one full
     h_max exploration per node, then incremental updates after each cut.
+    The root explores once at unit costs: the h_ff incumbent is extracted
+    from those levels, and the root's cut rounds continue from them.
     Agrees with h_plus_oracle everywhere.
     """
-    ub, _ = h_ff(task, s)
+    cutter = _cutter(task)
+    val, supp = cutter.levels(s)
+    ub, _ = _relaxed_plan(cutter, val, supp)
     if ub == INF:
         return INF
-    cutter = _cutter(task)
     n = len(task.actions)
-    lb0, _ = cutter.rounds(s, [1] * n)
+    lb0, _ = cutter._cut(val, supp, [1] * n)
     if lb0 == ub:
         return ub
     best = [ub]

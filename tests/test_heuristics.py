@@ -11,8 +11,7 @@ from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, \
-    _h_landmark_cut, build_rpg, h_ff, h_goalcount, h_plus, \
-    h_plus_oracle
+    _cutter, build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
 from plantopo.task_model import make_task, validate_plan
 
 from conftest import random_single_achiever_task, random_task, \
@@ -120,6 +119,29 @@ class TestLandmarkCutter:
         assert sum(x != y for x, y in expected) > 10
         assert [(h_plus(a, s), h_plus(b, s)) for s in states] == expected
 
+    def test_h_ff_and_h_plus_alternating_tasks_give_fresh_values(
+            self, monkeypatch):
+        # h_ff reads its layers off the same single-task cutter cache
+        a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 4}, 0))
+        b = dataclasses.replace(
+            a, goal=random_walk_state(a, random.Random(99), 20))
+        rng = random.Random(4)
+        states = [random_walk_state(a, rng, 12) for _ in range(40)]
+
+        def ff(t, s):
+            value, plan = h_ff(t, s)
+            return value, plan.actions
+
+        def fresh(h, t, s):
+            monkeypatch.setattr(heuristics, "_last_cutter", None)
+            return h(t, s)
+
+        expected = [(fresh(ff, a, s), fresh(h_plus, b, s),
+                     fresh(ff, b, s), fresh(h_plus, a, s)) for s in states]
+        assert sum(r[0][0] != r[2][0] for r in expected) > 10
+        assert [(ff(a, s), h_plus(b, s), ff(b, s), h_plus(a, s))
+                for s in states] == expected
+
     @pytest.mark.parametrize("family,params", [
         ("blocksworld-arm-stack", {"n": 3}),
         ("blocksworld-no-arm-stack", {"n": 3}),
@@ -174,6 +196,155 @@ class TestRpg:
             rpg = build_rpg(t, frozenset(t.init))
             for lo, hi in zip(rpg.fact_layers, rpg.fact_layers[1:]):
                 assert lo <= hi
+
+
+def _reference_rpg(task, s):
+    """The relaxed planning graph by its definition: apply every applicable
+    action at each layer until the goal holds or nothing new appears."""
+    facts = frozenset(s)
+    fact_layers = [facts]
+    action_layers = []
+    first_level = {f: 0 for f in facts}
+    goal_layer = 0 if task.goal <= facts else None
+    while goal_layer is None:
+        layer_actions = [a.id for a in task.actions if a.pre <= facts]
+        action_layers.append(layer_actions)
+        new_facts = set()
+        for aid in layer_actions:
+            new_facts |= task.actions[aid].add - facts
+        if not new_facts:
+            break
+        facts = facts | new_facts
+        for f in new_facts:
+            first_level[f] = len(fact_layers)
+        fact_layers.append(facts)
+        if task.goal <= facts:
+            goal_layer = len(fact_layers) - 1
+    return fact_layers, action_layers, first_level, goal_layer
+
+
+def _reference_h_ff(task, s, tie_break=None):
+    """FF's backward extraction over ``_reference_rpg``, written out
+    independently of the library's layers."""
+    fact_layers, action_layers, first, m = _reference_rpg(task, s)
+    if m is None:
+        return INF, None
+    open_goals = {i: [] for i in range(m + 1)}
+    open_goals[m] = sorted(task.goal)
+    selected_at = {i: [] for i in range(m + 1)}
+    added_at = {i: set() for i in range(m + 1)}
+    selected_layer = {}
+
+    def weight(aid):
+        return sum(first[p] for p in task.actions[aid].pre)
+
+    for i in range(m, 0, -1):
+        queue = open_goals[i]
+        k = 0
+        while k < len(queue):
+            g = queue[k]
+            k += 1
+            if g in added_at[i]:
+                continue
+            if g in fact_layers[i - 1]:
+                open_goals[i - 1].append(g)
+                continue
+            candidates = [aid for aid in action_layers[i - 1]
+                          if g in task.actions[aid].add]
+            best_w = min(weight(aid) for aid in candidates)
+            best = [aid for aid in candidates if weight(aid) == best_w]
+            if tie_break is not None and len(best) > 1:
+                choice = tie_break(task, g, best)
+            else:
+                choice = min(best)
+            prev = selected_layer.get(choice)
+            if prev is None or prev > i:
+                if prev is not None:
+                    selected_at[prev].remove(choice)
+                selected_layer[choice] = i
+                selected_at[i].append(choice)
+                added_at[i] |= task.actions[choice].add
+                open_goals[i - 1].extend(sorted(task.actions[choice].pre))
+    plan = [aid for i in range(1, m + 1) for aid in selected_at[i]]
+    return len(plan), plan
+
+
+def _recording(pick):
+    """A tie-break that logs every (goal, candidates) call it gets."""
+    calls = []
+
+    def tie_break(task, goal, candidates):
+        calls.append((goal, list(candidates)))
+        return pick(candidates)
+    return tie_break, calls
+
+
+def _assert_matches_reference(t, s):
+    rpg = build_rpg(t, s)
+    assert (rpg.fact_layers, rpg.action_layers, rpg.first_level,
+            rpg.goal_layer) == _reference_rpg(t, s)
+    value, plan = h_ff(t, s)
+    assert (value, plan and plan.actions) == _reference_h_ff(t, s)
+    for pick in (min, max):
+        lib_tb, lib_calls = _recording(pick)
+        ref_tb, ref_calls = _recording(pick)
+        value, plan = h_ff(t, s, tie_break=lib_tb)
+        assert (value, plan and plan.actions) == _reference_h_ff(t, s, ref_tb)
+        assert lib_calls == ref_calls
+    return len(lib_calls)
+
+
+class TestRpgFromLevels:
+    """``build_rpg`` and ``h_ff`` read their layers off the cutter's
+    unit-cost h_max; they must equal the layer-by-layer definition."""
+
+    def test_goal_in_state(self, transport_task):
+        t = transport_task
+        _assert_matches_reference(t, frozenset(t.goal) | frozenset(t.init))
+
+    def test_unreachable_goal(self):
+        t = make_task(["p", "q", "g"], [("a", [], ["q"], []),
+                                        ("b", ["p"], ["g"], [])], [], ["g"])
+        assert build_rpg(t, frozenset()).goal_layer is None
+        _assert_matches_reference(t, frozenset())
+
+    def test_precondition_free_actions(self):
+        t = make_task(["p", "q", "r", "g"], [
+            ("free-p", [], ["p"], []), ("free-q", [], ["q", "p"], []),
+            ("pq", ["p", "q"], ["r"], []), ("r", ["r"], ["g"], []),
+            ("free-g", [], ["g"], ["p"])], [], ["g", "r"])
+        _assert_matches_reference(t, frozenset())
+        _assert_matches_reference(t, frozenset({t.fact_by_name["p"]}))
+
+    def test_achiever_of_the_same_layer_is_no_candidate(self):
+        # "b" adds g with a lighter weight than "a", but only from layer 2,
+        # the layer g itself first appears in
+        t = make_task(["p", "q", "r", "y", "g"], [
+            ("init", [], ["p", "q", "r"], []), ("a", ["p", "q", "r"], ["g"], []),
+            ("b", ["y"], ["g"], []), ("c", ["p"], ["y"], [])], [], ["g"])
+        _assert_matches_reference(t, frozenset())
+        value, plan = h_ff(t, frozenset())
+        assert [t.actions[aid].name for aid in plan.actions] == ["init", "a"]
+
+    def test_random_tasks(self):
+        rng = random.Random(5)
+        ties = unreachable = 0
+        for seed in range(400):
+            t = random_task(seed)
+            for _ in range(3):
+                s = random_walk_state(t, rng)
+                ties += _assert_matches_reference(t, s)
+                unreachable += build_rpg(t, s).goal_layer is None
+        assert ties > 50 and unreachable > 50
+
+    @pytest.mark.parametrize("family,params", [
+        ("blocksworld-arm-stack", {"n": 3}),
+        ("gripper", {"balls": 3}),
+    ])
+    def test_whole_space(self, family, params):
+        t = generate(GeneratorSpec(family, params, 0))
+        ties = sum(_assert_matches_reference(t, s) for s in reachable_states(t))
+        assert ties > 0
 
 
 class TestHff:
@@ -296,9 +467,9 @@ def test_lower_bounds_are_admissible(seed, walk):
     t = random_task(seed)
     s = random_walk_state(t, random.Random(walk))
     exact = h_plus(t, s)
-    goal_layer = build_rpg(t, s).goal_layer
+    goal_layer = _reference_rpg(t, s)[3]
     layer = INF if goal_layer is None else goal_layer
-    landmark = _h_landmark_cut(t, s)
+    landmark = _cutter(t).rounds(s, [1] * len(t.actions))[0]
     assert layer <= landmark        # LM-cut dominates h_max
     if exact == INF:
         assert landmark is INF

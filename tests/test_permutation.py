@@ -1,16 +1,17 @@
 """Renumbering facts and actions must not change what the library reports.
 
-Every measure is compared per state keyed by fact names, so a result that
-leaks fact or action ids (say, through a tie broken by id) shows up as a
-mismatch.  ``h_ff`` breaks ties by action id and is exempt.
+Every measure is compared per state keyed by fact names, and conflicts by
+fact and action names, so a result that leaks fact or action ids (say,
+through a tie broken by id) shows up as a mismatch.  ``h_ff`` breaks ties by action id and is exempt.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from plantopo.analysis import interaction_free_verdict, \
-    no_local_minima_criterion
+from plantopo.analysis import build_fgt, find_conflicts, \
+    interaction_free_verdict, no_local_minima_criterion
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS
 from plantopo.state_space import enumerate_space, topology_report
@@ -51,19 +52,33 @@ def profile(task):
                  for sid in range(space.size)}
     depths = {key(sid): d for sid, d in rep.unrecognized_dead_end_depths.items()}
     return (per_state, rep.dead_end_class, rep.mlmed, rep.mbed, depths,
+            conflicts(task),
             interaction_free_verdict(task), no_local_minima_criterion(task))
+
+
+def conflicts(task):
+    """``find_conflicts`` as a multiset of (kind, fact name, action names,
+    repairable); node ids and the order of the list depend on numbering."""
+    return Counter(
+        (c.kind, task.facts[c.fact].name,
+         tuple(sorted(task.actions[aid].name for aid in c.action_ids)),
+         c.repairable)
+        for c in find_conflicts(build_fgt(task), task))
 
 
 def test_renumbering_random_tasks():
     verdicts = set()
+    n_conflicts = 0
     for seed in range(300):
         t = random_task(seed)
         expected = profile(t)
         verdicts.add(expected[-2:])
+        n_conflicts += sum(expected[-3].values())
         rng = random.Random(seed)
         for _ in range(2):
             assert profile(renumbered(t, rng)) == expected, t.name
     assert len(verdicts) == 5       # every verdict combination is exercised
+    assert n_conflicts > 300
 
 
 @pytest.mark.parametrize("family,params", [
