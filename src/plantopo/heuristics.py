@@ -144,7 +144,9 @@ class _LandmarkCutter:
         return val, supp
 
     def levels(self, s):
-        """Unit-cost ``_explore`` from s: (val, supp)."""
+        """The relaxed planning graph from s, as ``_explore`` at unit costs:
+        (val, supp), where val[f] is the layer fact f first appears in and
+        val[supp[aid]] the first layer action aid is applicable in."""
         return self._explore(s, self.unit)
 
     def _lower(self, val, supp, cost, cut):
@@ -204,7 +206,7 @@ class _LandmarkCutter:
         total = 0
         first_cut = None
         while True:
-            gc, gf = max((val[g], g) for g in self.goal)
+            gc, gf = max(((val[g], g) for g in self.goal), default=(0, -1))
             if gc == INF:
                 return INF, None
             if gc == 0:

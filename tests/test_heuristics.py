@@ -104,28 +104,12 @@ class TestLandmarkCutter:
 
     def test_alternating_tasks_give_fresh_values(self, monkeypatch):
         # same facts and actions, another goal: tables kept for the wrong
-        # task would give wrong values without failing
+        # task would give wrong values without failing; h_ff reads its
+        # layers off the same single-task cutter cache as h_plus
         a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 4}, 0))
         b = dataclasses.replace(
             a, goal=random_walk_state(a, random.Random(99), 20))
         rng = random.Random(3)
-        states = [random_walk_state(a, rng, 12) for _ in range(40)]
-
-        def fresh(t, s):
-            monkeypatch.setattr(heuristics, "_last_cutter", None)
-            return h_plus(t, s)
-
-        expected = [(fresh(a, s), fresh(b, s)) for s in states]
-        assert sum(x != y for x, y in expected) > 10
-        assert [(h_plus(a, s), h_plus(b, s)) for s in states] == expected
-
-    def test_h_ff_and_h_plus_alternating_tasks_give_fresh_values(
-            self, monkeypatch):
-        # h_ff reads its layers off the same single-task cutter cache
-        a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 4}, 0))
-        b = dataclasses.replace(
-            a, goal=random_walk_state(a, random.Random(99), 20))
-        rng = random.Random(4)
         states = [random_walk_state(a, rng, 12) for _ in range(40)]
 
         def ff(t, s):
@@ -138,6 +122,7 @@ class TestLandmarkCutter:
 
         expected = [(fresh(ff, a, s), fresh(h_plus, b, s),
                      fresh(ff, b, s), fresh(h_plus, a, s)) for s in states]
+        assert sum(r[1] != r[3] for r in expected) > 10
         assert sum(r[0][0] != r[2][0] for r in expected) > 10
         assert [(ff(a, s), h_plus(b, s), ff(b, s), h_plus(a, s))
                 for s in states] == expected
@@ -307,6 +292,13 @@ class TestRpgFromLevels:
                                         ("b", ["p"], ["g"], [])], [], ["g"])
         assert build_rpg(t, frozenset()).goal_layer is None
         _assert_matches_reference(t, frozenset())
+
+    def test_empty_goal(self):
+        t = make_task(["p"], [("a", [], ["p"], [])], [], [])
+        _assert_matches_reference(t, frozenset())
+        assert build_rpg(t, frozenset()).goal_layer == 0
+        assert h_ff(t, frozenset())[0] == 0
+        assert h_plus(t, frozenset()) == h_plus_oracle(t, frozenset()) == 0
 
     def test_precondition_free_actions(self):
         t = make_task(["p", "q", "r", "g"], [

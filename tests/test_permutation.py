@@ -2,7 +2,8 @@
 
 Every measure is compared per state keyed by fact names, and conflicts by
 fact and action names, so a result that leaks fact or action ids (say,
-through a tie broken by id) shows up as a mismatch.  ``h_ff`` breaks ties by action id and is exempt.
+through a tie broken by id) shows up as a mismatch.  ``h_ff`` breaks ties
+by action id and is exempt.
 """
 
 import random
