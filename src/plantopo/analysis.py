@@ -30,6 +30,7 @@ VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS = "HplusEqualsGdViaRepairs"
 VERDICT_NO_LOCAL_MINIMA = "NoLocalMinima"
 
 DEFAULT_NODE_CAP = 1_000_000
+CONFLICT_DETAIL_CAP = 50_000      # largest tree analyze_task lists conflicts of
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,17 @@ def _ancestor_conflicts(fgt: Fgt, task: Task, excluded=None):
     return visit(0)
 
 
+def _sibling_pairs(fgt: Fgt, lca, firsts, seconds):
+    """Yield each node pair (n1, n2) from ``firsts`` x ``seconds`` whose root
+    paths meet at an AND node above both (sibling branches of one action)."""
+    kinds = fgt.kinds
+    for n1 in firsts:
+        for n2 in seconds:
+            w = lca(n1, n2)
+            if w != n1 and w != n2 and kinds[w] == 'A':
+                yield n1, n2
+
+
 def _deletion_pairs(task: Task):
     """Unordered action pairs with a delete/precondition interaction."""
     pairs = []
@@ -433,16 +445,9 @@ def find_conflicts(fgt: Fgt, task: Task) -> list:
         if fgt.kinds[nid] == 'A':
             by_label.setdefault(fgt.labels[nid], []).append(nid)
 
-    def sibling_pair(aid, bid):
-        for n1 in by_label.get(aid, ()):
-            for n2 in by_label.get(bid, ()):
-                w = lca(n1, n2)
-                if w not in (n1, n2) and fgt.kinds[w] == 'A':
-                    return n1, n2
-        return None
-
     for aid, bid in _deletion_pairs(task):
-        found = sibling_pair(aid, bid)
+        found = next(_sibling_pairs(fgt, lca, by_label.get(aid, ()),
+                                    by_label.get(bid, ())), None)
         if found is None:
             continue
         a, b = task.actions[aid], task.actions[bid]
@@ -584,15 +589,10 @@ def _conflict_instances(fgt, task, excluded, by_label, lca, deletion_pairs):
     for desc, anc, _ in _ancestor_conflicts(fgt, task, excluded):
         yield desc, anc
     for aid, bid in deletion_pairs:
-        for n1 in by_label.get(aid, ()):
-            if excluded[n1]:
-                continue
-            for n2 in by_label.get(bid, ()):
-                if excluded[n2]:
-                    continue
-                w = lca(n1, n2)
-                if w not in (n1, n2) and fgt.kinds[w] == 'A':
-                    yield n1, n2
+        firsts = [n for n in by_label.get(aid, ()) if not excluded[n]]
+        if firsts:
+            seconds = [n for n in by_label.get(bid, ()) if not excluded[n]]
+            yield from _sibling_pairs(fgt, lca, firsts, seconds)
 
 
 def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
@@ -661,13 +661,13 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
     return VERDICT_NO_LOCAL_MINIMA
 
 
-def analyze_task(task: Task, cap: int = DEFAULT_NODE_CAP,
-                 conflict_detail_cap: int = 50_000) -> AnalysisReport:
+def analyze_task(task: Task, cap: int = DEFAULT_NODE_CAP) -> AnalysisReport:
     """Full static report; the node-level conflict list is skipped (None)
-    when the regression tree is truncated or too large to pair-scan."""
+    when the regression tree is truncated or larger than
+    ``CONFLICT_DETAIL_CAP`` nodes, too large to pair-scan."""
     report = check_lemmas(task)
     fgt = build_fgt(task, cap)
-    if not fgt.truncated and fgt.size <= conflict_detail_cap:
+    if not fgt.truncated and fgt.size <= CONFLICT_DETAIL_CAP:
         report.conflicts = find_conflicts(fgt, task)
     report.interaction_free_verdict = interaction_free_verdict(task, cap)
     report.no_local_minima_verdict = no_local_minima_criterion(task, cap, fgt)

@@ -78,12 +78,13 @@ def _check_card(card: TaxonomyCard):
                             "verdict vs an observed local minimum")
 
 
+def _fmt(v):
+    """A value as printed: ``inf`` for infinity, else ``str(v)``."""
+    return "inf" if v == INF else str(v)
+
+
 def emit_report(card: TaxonomyCard, format: str = "text") -> str:
     _check_card(card)
-
-    def fmt(v):
-        return "inf" if v == INF else str(v)
-
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -94,7 +95,7 @@ def emit_report(card: TaxonomyCard, format: str = "text") -> str:
             writer.writerow([
                 card.domain, card.size_param,
                 ";".join(str(s) for s in card.sizes), card.dead_end_class,
-                fmt(card.mlmed), fmt(card.mbed), card.lemma1, card.lemma2,
+                _fmt(card.mlmed), _fmt(card.mbed), card.lemma1, card.lemma2,
                 card.interaction_free, card.no_local_minima,
             ])
         return buf.getvalue()
@@ -103,16 +104,16 @@ def emit_report(card: TaxonomyCard, format: str = "text") -> str:
         f"sizes examined ({card.size_param}): "
         + ", ".join(str(s) for s in card.sizes),
         f"observed dead-end class (worst): {card.dead_end_class}",
-        f"observed mlmed: {fmt(card.mlmed)}",
-        f"observed mbed: {fmt(card.mbed)}",
+        f"observed mlmed: {_fmt(card.mlmed)}",
+        f"observed mbed: {_fmt(card.mbed)}",
         f"all actions invertible: {card.lemma1}",
         f"all actions at least invertible or harmless: {card.lemma2}",
         f"interaction-freeness verdict: {card.interaction_free}",
         f"no-local-minima verdict: {card.no_local_minima}",
     ]
     for size, cls, mlmed, mbed in card.per_size:
-        lines.append(f"  size {size}: class={cls} mlmed={fmt(mlmed)} "
-                     f"mbed={fmt(mbed)}")
+        lines.append(f"  size {size}: class={cls} mlmed={_fmt(mlmed)} "
+                     f"mbed={_fmt(mbed)}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +218,7 @@ def heuristic(domain_path, problem_path, heuristic, show_plan):
         value = HEURISTICS[heuristic](task, task.init)
     except PlantopoError as exc:
         _fail(exc)
-    click.echo(f"{heuristic}(init) = {'inf' if value == INF else value}")
+    click.echo(f"{heuristic}(init) = {_fmt(value)}")
     if show_plan and heuristic == "hff":
         _, plan = h_ff(task, task.init)
         if plan is not None:
@@ -249,8 +250,8 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
     click.echo(f"dead-end class: {report.dead_end_class}")
     for cls in sorted(counts):
         click.echo(f"plateaus[{cls}]: {counts[cls]}")
-    click.echo(f"mlmed: {'inf' if report.mlmed == INF else report.mlmed}")
-    click.echo(f"mbed: {'inf' if report.mbed == INF else report.mbed}")
+    click.echo(f"mlmed: {_fmt(report.mlmed)}")
+    click.echo(f"mbed: {_fmt(report.mbed)}")
     if dot_file:
         _write(dot_file, export_dot(space))
     if csv_file:
@@ -259,15 +260,10 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["state_id", "h", "gd", "plateau_id",
                          "plateau_class", "exit_distance"])
-
-        def fmt(v):
-            return "inf" if v == INF else v
-
         for sid in range(space.size):
             pid = report.plateau_of[sid]
-            ed = report.ed.get(sid, "")
-            writer.writerow([sid, fmt(space.h[sid]), fmt(space.gd[sid]),
-                             pid, classes[pid], fmt(ed) if ed != "" else ""])
+            writer.writerow([sid, _fmt(space.h[sid]), _fmt(space.gd[sid]), pid,
+                             classes[pid], _fmt(report.ed.get(sid, ""))])
         _write(csv_file, buf.getvalue())
 
 

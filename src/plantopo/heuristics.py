@@ -192,10 +192,9 @@ class _LandmarkCutter:
         cost[aid] is a natural, or None for excluded actions.
 
         Returns (total charged cost, first cut found).  Total is INF when
-        the goal is unreachable with the non-excluded actions.
+        the goal is unreachable with the non-excluded actions, and the cut
+        is None when the goal holds without any charged action.
         """
-        if self.task.goal.issubset(s):
-            return 0, None
         val, supp = self._explore(s, cost)
         return self._cut(val, supp, cost)
 
@@ -364,52 +363,49 @@ def h_plus(task: Task, s, budget: int | None = None):
     """Exact optimal relaxed-plan length via landmark branch-and-bound.
 
     A minimal relaxed plan is a set of actions; every disjunctive action
-    landmark (cut) must contribute at least one member.  The search
-    branches over the members of the first cut: branch i commits member i
-    into the plan (its cost drops to zero) and bans members 0..i-1, which
-    partitions the candidate plans.  A branch closes when the goal becomes
-    reachable through committed actions alone, and is pruned when the paid
-    cost plus the landmark bound reaches the incumbent (seeded by h_ff).
-    Each node's bound and cut come from one ``rounds`` call on the task's
-    ``_LandmarkCutter``, whose tables are built once per task: one full
-    h_max exploration per node, then incremental updates after each cut.
-    The root explores once at unit costs: the h_ff incumbent is extracted
-    from those levels, and the root's cut rounds continue from them.
-    Agrees with h_plus_oracle everywhere.
+    landmark (cut) must contribute at least one member.  A node is a cost
+    list over the actions: 0 for committed, None for banned, 1 for open.
+    The search branches over the members of the node's first cut: branch i
+    commits member i into the plan (its cost drops to zero) and bans
+    members 0..i-1, which partitions the candidate plans.  A branch closes
+    when the goal becomes reachable through committed actions alone, and is
+    pruned when the paid cost plus the landmark bound reaches the incumbent
+    (seeded by h_ff).  Each node's bound and cut come from one ``rounds``
+    call on the task's ``_LandmarkCutter``, whose tables are built once per
+    task: one full h_max exploration per node, then incremental updates
+    after each cut.  The root explores once at unit costs: the h_ff
+    incumbent is extracted from those levels, and the root's cut rounds
+    continue from them.  ``budget`` bounds the nodes: the root counts, and
+    each child counts as it is created, so a root that closes or is pruned
+    never raises.  Agrees with h_plus_oracle everywhere.
     """
     cutter = _cutter(task)
     val, supp = cutter.levels(s)
-    ub, _ = _relaxed_plan(cutter, val, supp)
-    if ub == INF:
+    best, _ = _relaxed_plan(cutter, val, supp)
+    if best == INF:
         return INF
     n = len(task.actions)
-    lb0, _ = cutter._cut(val, supp, [1] * n)
-    if lb0 == ub:
-        return ub
-    best = [ub]
-    expanded = [0]
+    nodes = 1
 
-    def bb(included, excluded, paid):
-        if budget is not None:
-            expanded[0] += 1
-            if expanded[0] > budget:
-                raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
-        cost = [0 if aid in included else (None if aid in excluded else 1)
-                for aid in range(n)]
-        total, cut = cutter.rounds(s, cost)
-        if total == INF or paid + total >= best[0]:
+    def bb(cost, total, cut, paid):
+        nonlocal best, nodes
+        if paid + total >= best:
             return
         if total == 0:
             # goal reachable through committed actions only
-            best[0] = paid
+            best = paid
             return
-        banned = set(excluded)
+        child = cost[:]
         for aid in cut:
-            bb(included | {aid}, frozenset(banned), paid + 1)
-            banned.add(aid)
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
+            child[aid] = 0
+            bb(child, *cutter.rounds(s, child[:]), paid + 1)
+            child[aid] = None
 
-    bb(frozenset(), frozenset(), 0)
-    return best[0]
+    bb([1] * n, *cutter._cut(val, supp, [1] * n), 0)
+    return best
 
 
 def h_ff_value(task: Task, s):

@@ -130,13 +130,14 @@ def dead_end_class(space: StateSpace) -> str:
 
 
 def _sccs(nodes, succ):
-    """Iterative Tarjan strongly-connected components over the given nodes."""
+    """Iterative Tarjan strongly-connected components over the given nodes,
+    yielded as sets in reverse topological order: every component that a
+    component's edges lead into is yielded before it (Tarjan 1972)."""
     indexed = {}
     lowlink = {}
     on_stack = set()
     stack = []
     counter = [0]
-    comps = []
     for root in nodes:
         if root in indexed:
             continue
@@ -175,8 +176,7 @@ def _sccs(nodes, succ):
                     comp.add(w)
                     if w == v:
                         break
-                comps.append(comp)
-    return comps
+                yield comp
 
 
 def _exits_by_level(space: StateSpace) -> dict:
@@ -190,55 +190,41 @@ def _exits_by_level(space: StateSpace) -> dict:
     return exits
 
 
-def classify_plateau(space: StateSpace, level, members, exits=None) -> str:
-    if level == INF:
-        return PLATEAU_RECOGNIZED_DEAD_END
-    if level == 0:
-        return PLATEAU_GLOBAL_MINIMUM
-    if exits is None:
-        exits = _exits_by_level(space).get(level, set())
-    # flat reachability from the plateau: paths staying at h == level
-    seen = set(members)
-    queue = deque(members)
-    reached_exit = False
-    while queue:
-        sid = queue.popleft()
-        if sid in exits:
-            reached_exit = True
-            break
-        for _, nid in space.transitions[sid]:
-            if nid not in seen and space.h[nid] == level:
-                seen.add(nid)
-                queue.append(nid)
-    if not reached_exit:
-        return PLATEAU_LOCAL_MINIMUM
-    if all(sid in exits for sid in members):
-        return PLATEAU_CONTOUR
-    return PLATEAU_BENCH
-
-
 def plateaus(space: StateSpace, exits=None) -> list:
     """Plateau partition: SCCs of each heuristic level's induced subgraph,
     in increasing level order.  ``exits`` is ``_exits_by_level(space)``,
-    computed here when not given."""
+    computed here when not given.
+
+    Each SCC is classified as ``_sccs`` yields it.  It reaches an exit of
+    its level when a member is one, or when a flat edge (to a state of the
+    same level) leads into an SCC already found to reach one; SCCs come
+    sinks first, so those are all classified by then."""
     if exits is None:
         exits = _exits_by_level(space)
+    h, transitions = space.h, space.transitions
     by_level = {}
-    for sid in range(space.size):
-        by_level.setdefault(space.h[sid], []).append(sid)
+    for sid, v in enumerate(h):
+        by_level.setdefault(v, []).append(sid)
     result = []
-    pid = 0
     for level in sorted(by_level, key=lambda v: (v == INF, v)):
-        members_at_level = set(by_level[level])
 
         def succ(sid):
-            return [nid for _, nid in space.transitions[sid] if nid in members_at_level]
+            return [nid for _, nid in transitions[sid] if h[nid] == level]
 
         level_exits = exits.get(level, set())
-        for comp in _sccs(sorted(members_at_level), succ):
-            cls = classify_plateau(space, level, comp, level_exits)
-            result.append(Plateau(pid, level, frozenset(comp), cls))
-            pid += 1
+        escaping = set()         # states whose flat paths reach an exit
+        for comp in _sccs(by_level[level], succ):
+            if level == INF:
+                cls = PLATEAU_RECOGNIZED_DEAD_END
+            elif level == 0:
+                cls = PLATEAU_GLOBAL_MINIMUM
+            elif (not level_exits.isdisjoint(comp)
+                  or any(nid in escaping for sid in comp for nid in succ(sid))):
+                escaping |= comp
+                cls = PLATEAU_CONTOUR if comp <= level_exits else PLATEAU_BENCH
+            else:
+                cls = PLATEAU_LOCAL_MINIMUM
+            result.append(Plateau(len(result), level, frozenset(comp), cls))
     return result
 
 
@@ -272,20 +258,30 @@ def exit_distance(space: StateSpace, sid: int):
 def _unrecognized_depths(space: StateSpace):
     """For every unrecognized dead end, the number of unrecognized dead ends
     reachable through paths that stay within unrecognized dead ends (each
-    state reaches itself)."""
-    members = {sid for sid in range(space.size)
-               if space.gd[sid] == INF and space.h[sid] != INF}
+    state reaches itself).
+
+    One ``_sccs`` pass over the unrecognized dead ends: an SCC's bitmask
+    (one bit per dead end) is its members plus the masks of the SCCs its
+    edges lead into, which come first."""
+    h, gd, transitions = space.h, space.gd, space.transitions
+    members = [sid for sid in range(space.size) if gd[sid] == INF and h[sid] != INF]
+    bit = {sid: 1 << i for i, sid in enumerate(members)}
+
+    def succ(sid):
+        return [nid for _, nid in transitions[sid] if nid in bit]
+
+    reach = {}
     depths = {}
-    for sid in members:
-        seen = {sid}
-        queue = deque([sid])
-        while queue:
-            cur = queue.popleft()
-            for _, nid in space.transitions[cur]:
-                if nid in members and nid not in seen:
-                    seen.add(nid)
-                    queue.append(nid)
-        depths[sid] = len(seen)
+    for comp in _sccs(members, succ):
+        mask = 0
+        for sid in comp:
+            mask |= bit[sid]
+            for nid in succ(sid):
+                mask |= reach.get(nid, 0)
+        depth = mask.bit_count()
+        for sid in comp:
+            reach[sid] = mask
+            depths[sid] = depth
     return depths
 
 

@@ -63,9 +63,6 @@ class Task:
     fact_by_name: dict = field(default_factory=dict, compare=False, repr=False)
     action_by_name: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def action(self, aid: int) -> GroundAction:
-        return self.actions[aid]
-
 
 def make_task(fact_names, actions_raw, init_names, goal_names, name="task") -> Task:
     """Build a Task from symbolic descriptions.

@@ -43,6 +43,22 @@ class TestHPlus:
         assert h_ff(t, s)[0] > h_plus(t, s)
         with pytest.raises(ResourceExhausted):
             h_plus(t, s, budget=0)
+        # the root counts as a node only when it branches, that is when its
+        # unit-cost LM-cut bound stays below the h_ff incumbent
+        rng = random.Random(0)
+        cases = [(t, random_walk_state(t, rng)) for seed in range(200)
+                 for t in [random_task(seed)] for _ in range(3)]
+        t = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))
+        cases += [(t, s) for s in reachable_states(t)]
+        branched = 0
+        for t, s in cases:
+            if _cutter(t).rounds(s, [1] * len(t.actions))[0] < h_ff(t, s)[0]:
+                branched += 1
+                with pytest.raises(ResourceExhausted):
+                    h_plus(t, s, budget=0)
+            else:
+                assert h_plus(t, s, budget=0) == h_plus(t, s)
+        assert 0 < branched < len(cases)
 
 
 def _h_max_by_value_iteration(task, s, cost):

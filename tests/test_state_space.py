@@ -255,6 +255,68 @@ class TestTopologyReport:
         assert checked > 0
 
 
+@pytest.fixture(scope="module")
+def random_spaces():
+    return [enumerate_space(random_task(seed), HEURISTICS[name], max_states=20_000)
+            for name in ("hff", "goalcount") for seed in range(400)]
+
+
+class TestSccPasses:
+    """``plateaus`` and the unrecognized dead-end depths each come from one
+    pass over the SCCs; compare them with a search from every SCC or state."""
+
+    @staticmethod
+    def flat_search_class(space, level, members):
+        """The class of one plateau by a breadth-first search from its
+        members over transitions that stay at its level."""
+        if level == INF:
+            return "RecognizedDeadEnd"
+        if level == 0:
+            return "GlobalMinimum"
+        exits = {sid for sid in range(space.size) if space.h[sid] == level
+                 and any(space.h[nid] < level for _, nid in space.transitions[sid])}
+        seen = set(members)
+        queue = deque(members)
+        while queue:
+            sid = queue.popleft()
+            if sid in exits:
+                return "Contour" if members <= exits else "Bench"
+            for _, nid in space.transitions[sid]:
+                if nid not in seen and space.h[nid] == level:
+                    seen.add(nid)
+                    queue.append(nid)
+        return "LocalMinimum"
+
+    def test_plateau_classes_match_flat_search(self, random_spaces):
+        seen = set()
+        for space in random_spaces:
+            for p in plateaus(space):
+                want = self.flat_search_class(space, p.level, p.member_state_ids)
+                assert p.plateau_class == want
+                seen.add(want)
+        assert seen == {"RecognizedDeadEnd", "LocalMinimum", "Bench", "Contour",
+                        "GlobalMinimum"}
+
+    def test_unrecognized_depths_match_forward_search(self, random_spaces):
+        deepest = 0
+        for space in random_spaces:
+            dead = {sid for sid in range(space.size)
+                    if space.gd[sid] == INF and space.h[sid] != INF}
+            want = {}
+            for sid in dead:
+                seen = {sid}
+                queue = deque([sid])
+                while queue:
+                    for _, nid in space.transitions[queue.popleft()]:
+                        if nid in dead and nid not in seen:
+                            seen.add(nid)
+                            queue.append(nid)
+                want[sid] = len(seen)
+            assert topology_report(space).unrecognized_dead_end_depths == want
+            deepest = max([deepest, *want.values()])
+        assert deepest > 2
+
+
 class TestInfinity:
     def test_math_inf_heuristic_gives_the_stock_topology(self, detour_task):
         def h_math_inf(task, s):
