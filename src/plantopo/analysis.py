@@ -182,6 +182,15 @@ class AnalysisReport:
     no_local_minima_verdict: str | None = None
 
 
+def _achievers(task: Task) -> dict:
+    """Fact id -> ids of the actions adding it, in action-id order."""
+    achievers = {}
+    for a in task.actions:
+        for p in a.add:
+            achievers.setdefault(p, []).append(a.id)
+    return achievers
+
+
 def check_lemmas(task: Task) -> AnalysisReport:
     mx = compute_mutexes(task)
     flags = action_flags(task, mx)
@@ -189,11 +198,7 @@ def check_lemmas(task: Task) -> AnalysisReport:
     lemma2 = all(f.at_least_invertible is not None
                  or (f.static_add_effects and not f.relevant_delete_effects)
                  for f in flags)
-    achiever_counts = {}
-    for a in task.actions:
-        for p in a.add:
-            achiever_counts[p] = achiever_counts.get(p, 0) + 1
-    prop2 = all(c <= 1 for c in achiever_counts.values())
+    prop2 = all(len(ids) <= 1 for ids in _achievers(task).values())
     prop3 = len(task.goal) <= 1 and all(len(a.pre) <= 1 for a in task.actions)
     prop4 = prop3 and all(a.delete <= a.pre for a in task.actions)
     return AnalysisReport(mx, flags, lemma1, lemma2, prop2, prop3, prop4)
@@ -220,18 +225,28 @@ class Fgt:
     parents: list
     children: list
     truncated: bool
+    depths: list                      # distance from the root per node
+    nodes_of: dict                    # (kind, label) -> node ids but the root
 
     @property
     def size(self):
         return len(self.kinds)
 
+    def lca(self, u, v):
+        """Lowest common ancestor of nodes u and v."""
+        depths, parents = self.depths, self.parents
+        while depths[u] > depths[v]:
+            u = parents[u]
+        while depths[v] > depths[u]:
+            v = parents[v]
+        while u != v:
+            u = parents[u]
+            v = parents[v]
+        return u
+
 
 def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
-    achievers = {}
-    for a in task.actions:
-        for p in a.add:
-            achievers.setdefault(p, []).append(a.id)
-
+    achievers = _achievers(task)
     kinds, labels, parents, children = [], [], [], []
 
     def new_node(kind, label, parent):
@@ -279,30 +294,14 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
 
     root = new_node('A', None, None)
     expand_action(root, task.goal)
-    return Fgt(kinds, labels, parents, children, truncated[0])
-
-
-def _node_depths(fgt: Fgt):
-    depth = [0] * fgt.size
-    for nid in range(1, fgt.size):
-        depth[nid] = depth[fgt.parents[nid]] + 1
-    return depth
-
-
-def _make_lca(fgt: Fgt, depth):
-    parents = fgt.parents
-
-    def lca(u, v):
-        while depth[u] > depth[v]:
-            u = parents[u]
-        while depth[v] > depth[u]:
-            v = parents[v]
-        while u != v:
-            u = parents[u]
-            v = parents[v]
-        return u
-
-    return lca
+    # indexed in one pass over the finished tree: growing two more per-node
+    # lists alongside the tree raised the process's peak RSS
+    depths = [0] * len(kinds)
+    nodes_of = {}
+    for nid in range(1, len(kinds)):
+        depths[nid] = depths[parents[nid]] + 1
+        nodes_of.setdefault((kinds[nid], labels[nid]), []).append(nid)
+    return Fgt(kinds, labels, parents, children, truncated[0], depths, nodes_of)
 
 
 def _node_sets(fgt: Fgt, task: Task, nid):
@@ -350,10 +349,10 @@ def _ancestor_conflicts(fgt: Fgt, task: Task, excluded=None):
     return visit(0)
 
 
-def _sibling_pairs(fgt: Fgt, lca, firsts, seconds):
+def _sibling_pairs(fgt: Fgt, firsts, seconds):
     """Yield each node pair (n1, n2) from ``firsts`` x ``seconds`` whose root
     paths meet at an AND node above both (sibling branches of one action)."""
-    kinds = fgt.kinds
+    kinds, lca = fgt.kinds, fgt.lca
     for n1 in firsts:
         for n2 in seconds:
             w = lca(n1, n2)
@@ -422,8 +421,6 @@ def find_conflicts(fgt: Fgt, task: Task) -> list:
     """
     if fgt.truncated:
         raise Truncated("regression tree exceeded its node cap")
-    depth = _node_depths(fgt)
-    lca = _make_lca(fgt, depth)
     conflicts = {}
 
     def record(kind, nodes, aids, fact):
@@ -440,14 +437,10 @@ def find_conflicts(fgt: Fgt, task: Task) -> list:
             record(CONFLICT_ALLIED, (desc, anc),
                    (fgt.labels[desc], fgt.labels[anc]), fact)
 
-    by_label = {}
-    for nid in range(1, fgt.size):
-        if fgt.kinds[nid] == 'A':
-            by_label.setdefault(fgt.labels[nid], []).append(nid)
-
+    nodes_of = fgt.nodes_of
     for aid, bid in _deletion_pairs(task):
-        found = next(_sibling_pairs(fgt, lca, by_label.get(aid, ()),
-                                    by_label.get(bid, ())), None)
+        found = next(_sibling_pairs(fgt, nodes_of.get(('A', aid), ()),
+                                    nodes_of.get(('A', bid), ())), None)
         if found is None:
             continue
         a, b = task.actions[aid], task.actions[bid]
@@ -458,6 +451,14 @@ def find_conflicts(fgt: Fgt, task: Task) -> list:
 
 # ---------------------------------------------------------------------------
 # Verdicts
+
+
+def _bits(mask):
+    """Yield the indexes of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
@@ -473,40 +474,20 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
     under identical path context (facts seen, preconditions required,
     vulnerable facts), so expansions are memoized on that context and
     ``cap`` bounds the number of distinct expansions rather than explicit
-    tree nodes.
+    tree nodes.  The goal is pseudo-action ``len(task.actions)``: its
+    preconditions are the goal, and it adds and deletes nothing.
     """
-    achievers = {}
-    for a in task.actions:
-        for p in a.add:
-            achievers.setdefault(p, []).append(a.id)
-    pre_mask = [sum(1 << f for f in a.pre) for a in task.actions]
-    add_mask = [sum(1 << f for f in a.add) for a in task.actions]
-    del_mask = [sum(1 << f for f in a.delete) for a in task.actions]
-    goal_mask = sum(1 << f for f in task.goal)
+    def mask(facts):
+        return sum(1 << f for f in facts)
 
-    allied = {}
+    achievers = _achievers(task)
+    pre_mask = [mask(a.pre) for a in task.actions] + [mask(task.goal)]
+    add_mask = [mask(a.add) for a in task.actions] + [0]
+    del_mask = [mask(a.delete) for a in task.actions] + [0]
+
+    allied = {}                       # action id -> actions in earlier siblings
     memo = {}
     state = {"expansions": 0, "stop": False}
-
-    def register_pairs(child_masks):
-        prefix = 0
-        for cm in child_masks:
-            mm = cm
-            while mm:
-                bit = mm & -mm
-                allied[bit.bit_length() - 1] = \
-                    allied.get(bit.bit_length() - 1, 0) | prefix
-                mm ^= bit
-            prefix |= cm
-        suffix = 0
-        for cm in reversed(child_masks):
-            mm = cm
-            while mm:
-                bit = mm & -mm
-                allied[bit.bit_length() - 1] = \
-                    allied.get(bit.bit_length() - 1, 0) | suffix
-                mm ^= bit
-            suffix |= cm
 
     def expand_action(aid, on_path, pre_path, vulnerable):
         # ancestor/goal conflict: a still-needed fact of some node above
@@ -514,22 +495,19 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
         if del_mask[aid] & vulnerable:
             state["stop"] = True
             return 0
-        pm, am = pre_mask[aid], add_mask[aid]
-        kids = [p for p in sorted(task.actions[aid].pre)
-                if not (pre_path >> p) & 1]                 # rule 2
+        pm = pre_mask[aid]
         child_pre_path = pre_path | pm
-        child_vuln = (vulnerable & ~am) | pm
-        total = 1 << aid
-        child_masks = []
-        for p in kids:
+        child_vuln = (vulnerable & ~add_mask[aid]) | pm
+        earlier = 0                   # actions below the children so far
+        for p in _bits(pm & ~pre_path):                     # rule 2
             if state["stop"]:
                 return 0
             m = expand_fact(p, on_path, child_pre_path, child_vuln)
-            child_masks.append(m)
-            total |= m
-        if len(child_masks) > 1:
-            register_pairs(child_masks)
-        return total
+            if earlier:
+                for bid in _bits(m):
+                    allied[bid] = allied.get(bid, 0) | earlier
+            earlier |= m
+        return earlier | (1 << aid)
 
     def expand_fact(p, on_path, pre_path, vulnerable):
         key = (p, on_path, pre_path, vulnerable)
@@ -551,27 +529,14 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
         memo[key] = total
         return total
 
-    # the artificial goal-achievement action as root
-    kids = sorted(task.goal)
-    child_masks = []
-    for p in kids:
-        if state["stop"]:
-            break
-        child_masks.append(expand_fact(p, 0, goal_mask, goal_mask))
+    expand_action(len(task.actions), 0, 0, 0)
     if state["stop"]:
         return UNKNOWN
-    register_pairs(child_masks)
 
     any_conflict = False
     for aid, m in allied.items():
         a = task.actions[aid]
-        mm = m
-        while mm:
-            bit = mm & -mm
-            bid = bit.bit_length() - 1
-            mm ^= bit
-            if bid <= aid:
-                continue
+        for bid in _bits(m & ~(1 << aid)):
             b = task.actions[bid]
             for deleter, victim in ((a, b), (b, a)):
                 if deleter.delete & victim.pre:
@@ -582,17 +547,18 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
         else VERDICT_HPLUS_EQUALS_GD
 
 
-def _conflict_instances(fgt, task, excluded, by_label, lca, deletion_pairs):
+def _conflict_instances(fgt, task, excluded, deletion_pairs):
     """Yield the conflict node tuples within the sub-tree that excludes the
     marked nodes; ancestor conflicts give (deleter, ancestor), sibling
     conflicts every allied pair, goal deleters (node, root)."""
     for desc, anc, _ in _ancestor_conflicts(fgt, task, excluded):
         yield desc, anc
     for aid, bid in deletion_pairs:
-        firsts = [n for n in by_label.get(aid, ()) if not excluded[n]]
+        firsts = [n for n in fgt.nodes_of.get(('A', aid), ()) if not excluded[n]]
         if firsts:
-            seconds = [n for n in by_label.get(bid, ()) if not excluded[n]]
-            yield from _sibling_pairs(fgt, lca, firsts, seconds)
+            seconds = [n for n in fgt.nodes_of.get(('A', bid), ())
+                       if not excluded[n]]
+            yield from _sibling_pairs(fgt, firsts, seconds)
 
 
 def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
@@ -619,23 +585,15 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
         fgt = build_fgt(task, cap)
     if fgt.truncated:
         return UNKNOWN
-    depth = _node_depths(fgt)
-    lca = _make_lca(fgt, depth)
     deletion_pairs = _deletion_pairs(task)
-    by_label = {}
-    fact_nodes = {}
-    for nid in range(1, fgt.size):
-        if fgt.kinds[nid] == 'A':
-            by_label.setdefault(fgt.labels[nid], []).append(nid)
-        else:
-            fact_nodes.setdefault(fgt.labels[nid], []).append(nid)
+    kinds, lca, nodes_of = fgt.kinds, fgt.lca, fgt.nodes_of
 
     def compatible_leaf(nf, conflict_nodes):
         for n in conflict_nodes:
             w = lca(nf, n)
             if w == nf:
                 return False            # above the conflict: never a leaf
-            if w != n and fgt.kinds[w] != 'A':
+            if w != n and kinds[w] != 'A':
                 return False            # competing choices of one OR node
         return True
 
@@ -643,7 +601,7 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
         if not a.delete:
             continue
         excluded = [False] * fgt.size
-        for nid in by_label.get(a.id, ()):
+        for nid in nodes_of.get(('A', a.id), ()):
             stack = [nid]
             while stack:
                 v = stack.pop()
@@ -651,11 +609,10 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
                     excluded[v] = True
                     stack.extend(fgt.children[v])
         candidates = [nid for f in sorted(a.delete)
-                      for nid in fact_nodes.get(f, ()) if not excluded[nid]]
+                      for nid in nodes_of.get(('F', f), ()) if not excluded[nid]]
         if not candidates:
             continue
-        for nodes in _conflict_instances(fgt, task, excluded, by_label, lca,
-                                         deletion_pairs):
+        for nodes in _conflict_instances(fgt, task, excluded, deletion_pairs):
             if any(compatible_leaf(nf, nodes) for nf in candidates):
                 return UNKNOWN
     return VERDICT_NO_LOCAL_MINIMA

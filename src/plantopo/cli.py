@@ -18,7 +18,7 @@ from .analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, \
     validate_respected
 from .errors import PlantopoError
 from .generators import GeneratorSpec, generate, pddl_texts
-from .heuristics import HEURISTICS, INF, h_ff
+from .heuristics import HEURISTICS, format_value, h_ff
 from .sampling import SampleConfig, run_experiment
 from .search import OUTCOME_SOLVED, enforced_hill_climbing
 from .state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
@@ -78,11 +78,6 @@ def _check_card(card: TaxonomyCard):
                             "verdict vs an observed local minimum")
 
 
-def _fmt(v):
-    """A value as printed: ``inf`` for infinity, else ``str(v)``."""
-    return "inf" if v == INF else str(v)
-
-
 def emit_report(card: TaxonomyCard, format: str = "text") -> str:
     _check_card(card)
     if format == "csv":
@@ -91,29 +86,29 @@ def emit_report(card: TaxonomyCard, format: str = "text") -> str:
         writer.writerow(["domain", "size_param", "sizes", "dead_end_class",
                          "mlmed", "mbed", "lemma1", "lemma2",
                          "interaction_free", "no_local_minima"])
-        if card.sizes:
-            writer.writerow([
-                card.domain, card.size_param,
-                ";".join(str(s) for s in card.sizes), card.dead_end_class,
-                _fmt(card.mlmed), _fmt(card.mbed), card.lemma1, card.lemma2,
-                card.interaction_free, card.no_local_minima,
-            ])
+        writer.writerow([
+            card.domain, card.size_param,
+            ";".join(str(s) for s in card.sizes), card.dead_end_class,
+            format_value(card.mlmed), format_value(card.mbed),
+            card.lemma1, card.lemma2,
+            card.interaction_free, card.no_local_minima,
+        ])
         return buf.getvalue()
     lines = [
         f"domain: {card.domain}",
         f"sizes examined ({card.size_param}): "
         + ", ".join(str(s) for s in card.sizes),
         f"observed dead-end class (worst): {card.dead_end_class}",
-        f"observed mlmed: {_fmt(card.mlmed)}",
-        f"observed mbed: {_fmt(card.mbed)}",
+        f"observed mlmed: {format_value(card.mlmed)}",
+        f"observed mbed: {format_value(card.mbed)}",
         f"all actions invertible: {card.lemma1}",
         f"all actions at least invertible or harmless: {card.lemma2}",
         f"interaction-freeness verdict: {card.interaction_free}",
         f"no-local-minima verdict: {card.no_local_minima}",
     ]
     for size, cls, mlmed, mbed in card.per_size:
-        lines.append(f"  size {size}: class={cls} mlmed={_fmt(mlmed)} "
-                     f"mbed={_fmt(mbed)}")
+        lines.append(f"  size {size}: class={cls} "
+                     f"mlmed={format_value(mlmed)} mbed={format_value(mbed)}")
     return "\n".join(lines) + "\n"
 
 
@@ -148,8 +143,21 @@ def _parse_params(params):
     return out
 
 
-def _int_params(params):
-    return {k: int(v) for k, v in _parse_params(params).items()}
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(f"{what}: {text!r} is not an integer") from None
+
+
+def _int_range(text, what):
+    """``n`` or ``lo..hi`` as the list of integers it names; a malformed
+    integer or an empty range is a usage error."""
+    lo, dots, hi = text.partition("..")
+    values = list(range(_int(lo, what), _int(hi if dots else lo, what) + 1))
+    if not values:
+        raise click.UsageError(f"{what}: {text!r} is an empty range")
+    return values
 
 
 def _fail(exc):
@@ -171,8 +179,9 @@ def main():
 @click.option("--problem-file", type=click.Path(), default=None)
 def gen(domain_name, params, seed, domain_file, problem_file):
     """Emit PDDL for a generated instance."""
+    values = {k: _int(v, k) for k, v in _parse_params(params).items()}
     try:
-        spec = GeneratorSpec(domain_name, _int_params(params), seed)
+        spec = GeneratorSpec(domain_name, values, seed)
         domain_text, problem_text = pddl_texts(spec)
     except (PlantopoError, ValueError) as exc:
         _fail(exc)
@@ -218,7 +227,7 @@ def heuristic(domain_path, problem_path, heuristic, show_plan):
         value = HEURISTICS[heuristic](task, task.init)
     except PlantopoError as exc:
         _fail(exc)
-    click.echo(f"{heuristic}(init) = {_fmt(value)}")
+    click.echo(f"{heuristic}(init) = {format_value(value)}")
     if show_plan and heuristic == "hff":
         _, plan = h_ff(task, task.init)
         if plan is not None:
@@ -250,8 +259,8 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
     click.echo(f"dead-end class: {report.dead_end_class}")
     for cls in sorted(counts):
         click.echo(f"plateaus[{cls}]: {counts[cls]}")
-    click.echo(f"mlmed: {_fmt(report.mlmed)}")
-    click.echo(f"mbed: {_fmt(report.mbed)}")
+    click.echo(f"mlmed: {format_value(report.mlmed)}")
+    click.echo(f"mbed: {format_value(report.mbed)}")
     if dot_file:
         _write(dot_file, export_dot(space))
     if csv_file:
@@ -262,8 +271,9 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
                          "plateau_class", "exit_distance"])
         for sid in range(space.size):
             pid = report.plateau_of[sid]
-            writer.writerow([sid, _fmt(space.h[sid]), _fmt(space.gd[sid]), pid,
-                             classes[pid], _fmt(report.ed.get(sid, ""))])
+            writer.writerow([sid, format_value(space.h[sid]),
+                             format_value(space.gd[sid]), pid, classes[pid],
+                             format_value(report.ed.get(sid, ""))])
         _write(csv_file, buf.getvalue())
 
 
@@ -298,19 +308,14 @@ def plan(domain_path, problem_path, heuristic, budget):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--h", "heuristic", default="hff", show_default=True,
               type=click.Choice(sorted(HEURISTICS)))
-@click.option("--samples", default=100, show_default=True)
+@click.option("--samples", default=100, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--factor", default=2.0, show_default=True)
 @click.option("--csv", "csv_file", type=click.Path(), default=None)
 def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
            csv_file):
     """Random-walk sampling over generated instance groups."""
-    ranges = {}
-    for key, value in _parse_params(params).items():
-        if ".." in value:
-            lo, _, hi = value.partition("..")
-            ranges[key] = list(range(int(lo), int(hi) + 1))
-        else:
-            ranges[key] = [int(value)]
+    ranges = {k: _int_range(v, k) for k, v in _parse_params(params).items()}
     groups = [{}]
     for key in sorted(ranges):
         groups = [dict(g, **{key: v}) for g in groups for v in ranges[key]]
@@ -402,8 +407,7 @@ def taxonomy(domain_name, sizes, seed, max_states, cap, fmt):
                    + ", ".join(sorted(SIZE_PARAMS)), err=True)
         sys.exit(1)
     size_param = SIZE_PARAMS[domain_name]
-    lo, _, hi = sizes.partition("..")
-    size_list = list(range(int(lo), int(hi or lo) + 1))
+    size_list = _int_range(sizes, "--sizes")
     card = TaxonomyCard(domain_name, size_param, size_list,
                         DEAD_END_UNDIRECTED, 0, 0)
     lemma1 = lemma2 = True
@@ -438,8 +442,7 @@ def taxonomy(domain_name, sizes, seed, max_states, cap, fmt):
             verdict = no_local_minima_criterion(task, cap)
             nlm = verdict if nlm in (None, verdict) else UNKNOWN
         card.lemma1, card.lemma2 = lemma1, lemma2
-        card.interaction_free = ifree or UNKNOWN
-        card.no_local_minima = nlm or UNKNOWN
+        card.interaction_free, card.no_local_minima = ifree, nlm
         click.echo(emit_report(card, fmt), nl=False)
     except (PlantopoError, ValueError) as exc:
         _fail(exc)

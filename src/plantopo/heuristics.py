@@ -17,6 +17,11 @@ from .task_model import Task
 
 INF = float("inf")
 
+
+def format_value(v) -> str:
+    """A value as printed: ``inf`` for infinity, else ``str(v)``."""
+    return "inf" if v == INF else str(v)
+
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 

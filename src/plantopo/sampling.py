@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import NoReferencePlan, PlantopoError, PreconditionViolated, \
     ResourceExhausted
 from .generators import generate
-from .heuristics import HEURISTICS, INF, memoized
+from .heuristics import HEURISTICS, INF, format_value, memoized
 from .search import OUTCOME_SOLVED, enforced_hill_climbing
 from .state_space import DEFAULT_MAX_STATES
 from .task_model import Task, apply, is_goal, successors
@@ -60,8 +60,7 @@ class SampleReport:
             writer.writerow([
                 row.domain, params, row.instance_seed,
                 f"{row.valley_percentage:.1f}",
-                "inf" if row.sampled_max_exit_distance == INF
-                else row.sampled_max_exit_distance,
+                format_value(row.sampled_max_exit_distance),
                 row.samples, row.error or "",
             ])
         return buf.getvalue()

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ResourceExhausted
-from .heuristics import INF
+from .heuristics import INF, format_value
 from .task_model import Task, is_goal, successors
 
 PLATEAU_RECOGNIZED_DEAD_END = "RecognizedDeadEnd"
@@ -332,7 +332,7 @@ def export_dot(space: StateSpace) -> str:
 
     for level in sorted(by_level, key=level_key):
         ids = sorted(by_level[level])
-        label = "inf" if level == INF else str(level)
+        label = format_value(level)
         for sid in ids:
             shape = ' shape=doublecircle' if is_goal(space.task, space.states[sid]) else ""
             lines.append(f'  s{sid} [label="s{sid} h={label}"{shape}];')

@@ -13,8 +13,7 @@ from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
     action_flags, analyze_task, build_fgt, check_lemmas, compute_mutexes, \
     find_conflicts, interaction_free_verdict, no_local_minima_criterion, \
     repairable, validate_respected, validate_rp_irrelevant_deletes
-from plantopo.analysis import _ancestor_conflicts, _deletion_pairs, \
-    _make_lca, _node_depths
+from plantopo.analysis import _ancestor_conflicts, _deletion_pairs
 from plantopo.errors import PreconditionViolated, Truncated
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, h_plus
@@ -24,6 +23,43 @@ from plantopo.task_model import apply_sequence, make_task
 from conftest import random_task, reachable_states
 
 H_PLUS = HEURISTICS["hplus"]
+
+
+def _tree_test_tasks():
+    """random_task seeds 0-399 and the named families."""
+    return ([random_task(seed, max_facts=7, max_actions=8)
+             for seed in range(400)]
+            + [generate(GeneratorSpec(domain, params, 0)) for domain, params
+               in (("movie", {}), ("road-graph", {}), ("toll-road-graph", {}),
+                   ("transport-swap", {}), ("gripper", {"balls": 3}),
+                   ("simple-tsp", {"locations": 5}))])
+
+
+def _root_path(fgt, n):
+    """n and its ancestors, n first."""
+    path = [n]
+    while fgt.parents[n] is not None:
+        n = fgt.parents[n]
+        path.append(n)
+    return path
+
+
+def _lca_by_ancestor_sets(fgt):
+    """Lowest common ancestor from parents alone: the deepest node of the
+    intersection of both ancestor sets."""
+    ancestors = [frozenset(_root_path(fgt, n)) for n in range(fgt.size)]
+
+    def lca(u, v):
+        return max(ancestors[u] & ancestors[v], key=lambda n: len(ancestors[n]))
+
+    return lca
+
+
+def _nodes_by_label(fgt):
+    nodes_of = {}
+    for nid in range(1, fgt.size):
+        nodes_of.setdefault((fgt.kinds[nid], fgt.labels[nid]), []).append(nid)
+    return nodes_of
 
 
 class TestMutexes:
@@ -149,6 +185,19 @@ class TestBuildFgt:
         fgt = build_fgt(transport_task, node_cap=4)
         assert fgt.truncated
 
+    def test_indexes_match_the_tree(self):
+        for t in _tree_test_tasks():
+            fgt = build_fgt(t)
+            assert fgt.depths == [len(_root_path(fgt, n)) - 1
+                                  for n in range(fgt.size)], t.name
+            assert fgt.nodes_of == _nodes_by_label(fgt), t.name
+            # every pair on small trees, a spread of nodes on large ones
+            sample = range(0, fgt.size, max(1, fgt.size // 100))
+            lca = _lca_by_ancestor_sets(fgt)
+            for u in sample:
+                for v in sample:
+                    assert fgt.lca(u, v) == lca(u, v), (t.name, u, v)
+
 
 class TestFindConflicts:
     def test_toll_graph_single_allied_conflict(self, toll_graph_task):
@@ -253,15 +302,8 @@ class TestNoLocalMinimaCriterion:
         assert no_local_minima_criterion(toll_graph_task) == UNKNOWN
 
     def test_streaming_scan_matches_eager_reference(self):
-        tasks = [random_task(seed, max_facts=7, max_actions=8)
-                 for seed in range(400)]
-        tasks += [generate(GeneratorSpec(domain, params, 0)) for domain, params
-                  in (("movie", {}), ("road-graph", {}),
-                      ("toll-road-graph", {}), ("transport-swap", {}),
-                      ("gripper", {"balls": 3}),
-                      ("simple-tsp", {"locations": 5}))]
         verdicts = set()
-        for t in tasks:
+        for t in _tree_test_tasks():
             verdict = no_local_minima_criterion(t)
             assert verdict == _eager_no_local_minima(t), t.name
             verdicts.add(verdict)
@@ -289,10 +331,8 @@ def _eager_no_local_minima(task):
     fgt = build_fgt(task)
     if fgt.truncated:
         return UNKNOWN
-    lca = _make_lca(fgt, _node_depths(fgt))
-    nodes_of = {}
-    for nid in range(1, fgt.size):
-        nodes_of.setdefault((fgt.kinds[nid], fgt.labels[nid]), []).append(nid)
+    lca = _lca_by_ancestor_sets(fgt)
+    nodes_of = _nodes_by_label(fgt)
 
     def compatible_leaf(nf, conflict_nodes):
         for n in conflict_nodes:

@@ -229,9 +229,32 @@ class TestTaxonomy:
         assert res.exit_code == 1
         assert "gripper" in res.output
 
+    def test_bad_size_exits_one(self, runner):
+        res = runner.invoke(main, ["taxonomy", "gripper", "--sizes", "0"])
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ")
+
     def test_every_size_parameter_is_accepted(self):
         for domain, key in SIZE_PARAMS.items():
             assert key in PARAMS[domain], domain
+
+
+class TestIntegerArguments:
+    """A malformed integer or an empty range is a usage error."""
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--domain", "gripper", "--param", "balls=abc"],
+        ["sample", "--domain", "gripper", "--param", "balls=a..2"],
+        ["sample", "--domain", "gripper", "--param", "balls=2..1"],
+        ["sample", "--domain", "gripper", "--samples", "0"],
+        ["taxonomy", "gripper", "--sizes", "abc"],
+        ["taxonomy", "gripper", "--sizes", "3..1"],
+    ])
+    def test_exits_two_without_traceback(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
 
 
 class TestDispatch:
