@@ -227,6 +227,7 @@ class Fgt:
     truncated: bool
     depths: list                      # distance from the root per node
     nodes_of: dict                    # (kind, label) -> node ids but the root
+    ancestor_conflicts: list          # (deleter, ancestor, fact), depth-first
 
     @property
     def size(self):
@@ -246,10 +247,23 @@ class Fgt:
 
 
 def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
-    achievers = _achievers(task)
-    kinds, labels, parents, children = [], [], [], []
+    """Build the tree depth-first on an explicit stack of open nodes.
 
-    def new_node(kind, label, parent):
+    Each action node records its ancestor conflicts as it is created: the
+    action deletes a fact that some action node above it (the root, with
+    the goal as precondition, included) requires and that no action in
+    between re-adds, and the two labels differ.
+    """
+    achievers = _achievers(task)
+    actions = task.actions
+    kinds, labels, parents, children = [], [], [], []
+    ancestor_conflicts = []
+    facts_on_path = set()
+    pre_counts = {}
+    vulnerable = {}                   # fact -> action nodes above requiring it
+    stack = []                        # (node, child labels left, pre, saved)
+
+    def open_node(kind, label, parent):
         nid = len(kinds)
         kinds.append(kind)
         labels.append(label)
@@ -257,43 +271,51 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
         children.append([])
         if parent is not None:
             children[parent].append(nid)
-        return nid
-
-    truncated = [False]
-    facts_on_path = set()
-    pre_counts = {}
-
-    def expand_action(nid, pre):
+        if kind == 'F':
+            facts_on_path.add(label)
+            kept = [aid for aid in achievers.get(label, ())
+                    if facts_on_path.isdisjoint(actions[aid].pre)]  # rule 1
+            stack.append((nid, iter(kept), (), None))
+            return
+        if label is None:
+            pre, add, dele = task.goal, (), ()
+        else:
+            a = actions[label]
+            pre, add, dele = a.pre, a.add, a.delete
+        for f in dele:
+            for anc in vulnerable.get(f, ()):
+                if labels[anc] != label:
+                    ancestor_conflicts.append((nid, anc, f))
+        saved = {f: vulnerable[f] for f in add if vulnerable.get(f)}
+        for f in saved:
+            vulnerable[f] = []
+        for f in pre:
+            vulnerable.setdefault(f, []).append(nid)
         # rule 2 is evaluated before this node's preconditions join the path
         kept = [p for p in sorted(pre) if not pre_counts.get(p)]
         for p in pre:
             pre_counts[p] = pre_counts.get(p, 0) + 1
-        for p in kept:
-            if truncated[0]:
-                break
+        stack.append((nid, iter(kept), pre, saved))
+
+    open_node('A', None, None)
+    truncated = False
+    while stack:
+        nid, pending, pre, saved = stack[-1]
+        label = next(pending, None)
+        if label is not None:
             if len(kinds) >= node_cap:
-                truncated[0] = True
+                truncated = True
                 break
-            expand_fact(new_node('F', p, nid), p)
+            open_node('F' if kinds[nid] == 'A' else 'A', label, nid)
+            continue
+        stack.pop()
+        if kinds[nid] == 'F':
+            facts_on_path.discard(labels[nid])
         for p in pre:
             pre_counts[p] -= 1
-
-    def expand_fact(nid, p):
-        facts_on_path.add(p)
-        for aid in achievers.get(p, ()):
-            if truncated[0]:
-                break
-            a = task.actions[aid]
-            if any(q in facts_on_path for q in a.pre):   # rule 1
-                continue
-            if len(kinds) >= node_cap:
-                truncated[0] = True
-                break
-            expand_action(new_node('A', aid, nid), a.pre)
-        facts_on_path.discard(p)
-
-    root = new_node('A', None, None)
-    expand_action(root, task.goal)
+            vulnerable[p].pop()
+        if saved:
+            vulnerable.update(saved)
     # indexed in one pass over the finished tree: growing two more per-node
     # lists alongside the tree raised the process's peak RSS
     depths = [0] * len(kinds)
@@ -301,52 +323,8 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
     for nid in range(1, len(kinds)):
         depths[nid] = depths[parents[nid]] + 1
         nodes_of.setdefault((kinds[nid], labels[nid]), []).append(nid)
-    return Fgt(kinds, labels, parents, children, truncated[0], depths, nodes_of)
-
-
-def _node_sets(fgt: Fgt, task: Task, nid):
-    label = fgt.labels[nid]
-    if label is None:
-        return task.goal, frozenset(), frozenset()
-    a = task.actions[label]
-    return a.pre, a.add, a.delete
-
-
-def _ancestor_conflicts(fgt: Fgt, task: Task, excluded=None):
-    """Yield (descendant, ancestor, fact) for each descendant action node
-    deleting a still-needed ancestor precondition, in depth-first order.
-    ``excluded`` marks whole sub-trees rooted at action nodes to skip.
-
-    An ancestor action node leaves each precondition fact vulnerable along
-    its subtree until some intermediate action re-adds the fact.  The root
-    counts as an ancestor with the goal as precondition; hitting it means a
-    goal fact is deleted without being re-achieved on the way up.
-    """
-    vulnerable = {}
-
-    def visit(nid):
-        pre, add, dele = _node_sets(fgt, task, nid)
-        label = fgt.labels[nid]
-        for f in dele:
-            for anc in vulnerable.get(f, ()):
-                if fgt.labels[anc] != label:
-                    yield nid, anc, f
-        saved = {}
-        for f in add:
-            if vulnerable.get(f):
-                saved[f] = vulnerable[f]
-                vulnerable[f] = []
-        for f in pre:
-            vulnerable.setdefault(f, []).append(nid)
-        for fact_node in fgt.children[nid]:
-            for c in fgt.children[fact_node]:
-                if excluded is None or not excluded[c]:
-                    yield from visit(c)
-        for f in pre:
-            vulnerable[f].pop()
-        vulnerable.update(saved)
-
-    return visit(0)
+    return Fgt(kinds, labels, parents, children, truncated, depths, nodes_of,
+               ancestor_conflicts)
 
 
 def _sibling_pairs(fgt: Fgt, firsts, seconds):
@@ -430,7 +408,7 @@ def find_conflicts(fgt: Fgt, task: Task) -> list:
             c.repairable = repairable(c, task)
             conflicts[key] = c
 
-    for desc, anc, fact in _ancestor_conflicts(fgt, task):
+    for desc, anc, fact in fgt.ancestor_conflicts:
         if fgt.labels[anc] is None:
             record(CONFLICT_GOAL_DELETE, (desc,), (fgt.labels[desc],), fact)
         else:
@@ -487,51 +465,56 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
 
     allied = {}                       # action id -> actions in earlier siblings
     memo = {}
-    state = {"expansions": 0, "stop": False}
+    expansions = 0
 
-    def expand_action(aid, on_path, pre_path, vulnerable):
-        # ancestor/goal conflict: a still-needed fact of some node above
-        # gets deleted with no re-achievement in between
-        if del_mask[aid] & vulnerable:
-            state["stop"] = True
-            return 0
+    def action_frame(aid, on_path, pre_path, vulnerable):
         pm = pre_mask[aid]
-        child_pre_path = pre_path | pm
-        child_vuln = (vulnerable & ~add_mask[aid]) | pm
-        earlier = 0                   # actions below the children so far
-        for p in _bits(pm & ~pre_path):                     # rule 2
-            if state["stop"]:
-                return 0
-            m = expand_fact(p, on_path, child_pre_path, child_vuln)
-            if earlier:
-                for bid in _bits(m):
-                    allied[bid] = allied.get(bid, 0) | earlier
-            earlier |= m
-        return earlier | (1 << aid)
+        return ['A', aid, on_path, pre_path | pm,
+                (vulnerable & ~add_mask[aid]) | pm,
+                _bits(pm & ~pre_path), 0]                   # rule 2
 
-    def expand_fact(p, on_path, pre_path, vulnerable):
-        key = (p, on_path, pre_path, vulnerable)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        state["expansions"] += 1
-        if state["expansions"] > cap:
-            state["stop"] = True
-            return 0
-        total = 0
-        below = on_path | (1 << p)
-        for aid in achievers.get(p, ()):
-            if state["stop"]:
-                return 0
-            if pre_mask[aid] & below:                       # rule 1
+    # frame: [kind, action id or memo key, path facts, required facts,
+    # vulnerable facts (an action frame's as passed to its children), children
+    # left, mask of the actions below the children finished so far]
+    stack = [action_frame(len(task.actions), 0, 0, 0)]
+    while stack:
+        frame = stack[-1]
+        kind, _, on_path, pre_path, vulnerable, pending, _ = frame
+        child = next(pending, None)
+        if child is None:
+            stack.pop()
+            if kind == 'A':
+                m = frame[6] | (1 << frame[1])
+            else:
+                m = memo[frame[1]] = frame[6]
+            if not stack:
+                break
+            frame = stack[-1]
+        elif kind == 'F':
+            # ancestor/goal conflict: a still-needed fact of some node above
+            # gets deleted with no re-achievement in between
+            if del_mask[child] & vulnerable:
+                return UNKNOWN
+            stack.append(action_frame(child, on_path, pre_path, vulnerable))
+            continue
+        else:
+            key = (child, on_path, pre_path, vulnerable)
+            m = memo.get(key)
+            if m is None:
+                expansions += 1
+                if expansions > cap:
+                    return UNKNOWN
+                below = on_path | (1 << child)
+                kept = [aid for aid in achievers.get(child, ())
+                        if not pre_mask[aid] & below]       # rule 1
+                stack.append(['F', key, below, pre_path, vulnerable,
+                              iter(kept), 0])
                 continue
-            total |= expand_action(aid, below, pre_path, vulnerable)
-        memo[key] = total
-        return total
-
-    expand_action(len(task.actions), 0, 0, 0)
-    if state["stop"]:
-        return UNKNOWN
+        # hand the finished child's mask m to the frame above it
+        if frame[0] == 'A' and frame[6]:
+            for bid in _bits(m):
+                allied[bid] = allied.get(bid, 0) | frame[6]
+        frame[6] |= m
 
     any_conflict = False
     for aid, m in allied.items():
@@ -551,8 +534,9 @@ def _conflict_instances(fgt, task, excluded, deletion_pairs):
     """Yield the conflict node tuples within the sub-tree that excludes the
     marked nodes; ancestor conflicts give (deleter, ancestor), sibling
     conflicts every allied pair, goal deleters (node, root)."""
-    for desc, anc, _ in _ancestor_conflicts(fgt, task, excluded):
-        yield desc, anc
+    for desc, anc, _ in fgt.ancestor_conflicts:
+        if not excluded[desc]:
+            yield desc, anc
     for aid, bid in deletion_pairs:
         firsts = [n for n in fgt.nodes_of.get(('A', aid), ()) if not excluded[n]]
         if firsts:

@@ -304,13 +304,15 @@ def plan(domain_path, problem_path, heuristic, budget):
 @click.option("--domain", "domain_name", required=True)
 @click.option("--param", "params", multiple=True,
               help="key=value or key=lo..hi")
-@click.option("--per-group", default=1, show_default=True)
+@click.option("--per-group", default=1, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--h", "heuristic", default="hff", show_default=True,
               type=click.Choice(sorted(HEURISTICS)))
 @click.option("--samples", default=100, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--factor", default=2.0, show_default=True)
+@click.option("--factor", default=2.0, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 @click.option("--csv", "csv_file", type=click.Path(), default=None)
 def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
            csv_file):

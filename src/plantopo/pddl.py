@@ -65,32 +65,31 @@ def _tokenize(text):
     return toks
 
 
-def _read_sexpr(toks, pos):
-    if pos >= len(toks):
-        raise ParseError("unexpected end of input")
-    t = toks[pos]
-    if t.text == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(toks):
-                raise ParseError("unbalanced parenthesis", t.line, t.col)
-            if toks[pos].text == ")":
-                return items, pos + 1
-            item, pos = _read_sexpr(toks, pos)
-            items.append(item)
-    if t.text == ")":
-        raise ParseError("unexpected ')'", t.line, t.col)
-    return t, pos + 1
-
-
 def _parse_text(text):
+    """Read the one top-level s-expression of text on an explicit stack."""
     toks = _tokenize(text)
-    expr, pos = _read_sexpr(toks, 0)
-    if pos != len(toks):
-        t = toks[pos]
-        raise ParseError("trailing input after top-level form", t.line, t.col)
-    return expr
+    if not toks:
+        raise ParseError("unexpected end of input")
+    open_lists = []                   # (opening token, items) per open list
+    for pos, t in enumerate(toks):
+        if t.text == "(":
+            open_lists.append((t, []))
+            continue
+        if t.text != ")":
+            item = t
+        elif open_lists:
+            item = open_lists.pop()[1]
+        else:
+            raise ParseError("unexpected ')'", t.line, t.col)
+        if open_lists:
+            open_lists[-1][1].append(item)
+            continue
+        if pos + 1 != len(toks):
+            t = toks[pos + 1]
+            raise ParseError("trailing input after top-level form", t.line, t.col)
+        return item
+    t = open_lists[-1][0]
+    raise ParseError("unbalanced parenthesis", t.line, t.col)
 
 
 def _head(sexpr):
@@ -201,13 +200,13 @@ def _check_supported(sexpr):
 def _parse_condition(sexpr, allow_equality):
     """Parse a precondition into (atoms, eq, neq)."""
     atoms, eqs, neqs = [], [], []
-
-    def one(item):
+    pending = [] if sexpr is None else [sexpr]
+    while pending:
+        item = pending.pop()
         _check_supported(item)
         head = _head(item)
         if head == "and":
-            for sub in item[1:]:
-                one(sub)
+            pending.extend(reversed(item[1:]))
         elif head == "not":
             if len(item) == 2 and _head(item[1]) == "=":
                 if not allow_equality:
@@ -223,21 +222,18 @@ def _parse_condition(sexpr, allow_equality):
             eqs.append(_pair_of(item))
         else:
             atoms.append(_atom_of(item))
-
-    if sexpr is not None:
-        one(sexpr)
     return atoms, eqs, neqs
 
 
 def _parse_effect(sexpr):
     adds, dels = [], []
-
-    def one(item):
+    pending = [sexpr]
+    while pending:
+        item = pending.pop()
         _check_supported(item)
         head = _head(item)
         if head == "and":
-            for sub in item[1:]:
-                one(sub)
+            pending.extend(reversed(item[1:]))
         elif head == "not":
             if len(item) != 2:
                 raise ParseError("malformed (not ...) effect")
@@ -245,8 +241,6 @@ def _parse_effect(sexpr):
             dels.append(_atom_of(item[1]))
         else:
             adds.append(_atom_of(item))
-
-    one(sexpr)
     return adds, dels
 
 
@@ -294,6 +288,8 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
             raise UnsupportedFeature("derived predicates are not supported")
         elif head == ":action":
             name = _name_of(section, "(:action ...)")
+            if any(sch.name == name for sch in schemata):
+                raise ParseError(f"duplicate action {name}", *_where(section))
             params, pre, eff = [], None, None
             i = 2
             while i < len(section):

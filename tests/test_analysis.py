@@ -1,6 +1,7 @@
 """Static analysis: mutexes, action properties, regression-tree conflicts,
 verdicts, and the space-backed validators."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -13,7 +14,7 @@ from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
     action_flags, analyze_task, build_fgt, check_lemmas, compute_mutexes, \
     find_conflicts, interaction_free_verdict, no_local_minima_criterion, \
     repairable, validate_respected, validate_rp_irrelevant_deletes
-from plantopo.analysis import _ancestor_conflicts, _deletion_pairs
+from plantopo.analysis import _deletion_pairs
 from plantopo.errors import PreconditionViolated, Truncated
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, h_plus
@@ -53,6 +54,40 @@ def _lca_by_ancestor_sets(fgt):
         return max(ancestors[u] & ancestors[v], key=lambda n: len(ancestors[n]))
 
     return lca
+
+
+def _ancestor_conflicts_by_paths(fgt, task):
+    """(deleter d, ancestor a, fact f) for each action node d in depth-first
+    order, each fact f it deletes and each action node a above it whose
+    precondition (the goal, for the root) holds f, where no action strictly
+    between them adds f and the two labels differ."""
+    def pre(n):
+        label = fgt.labels[n]
+        return task.goal if label is None else task.actions[label].pre
+
+    found = []
+    for d in range(1, fgt.size):
+        if fgt.kinds[d] != 'A':
+            continue
+        above = [n for n in reversed(_root_path(fgt, d)[1:])
+                 if fgt.kinds[n] == 'A']          # root first
+        label = fgt.labels[d]
+        for f in task.actions[label].delete:
+            for i, a in enumerate(above):
+                if (f in pre(a) and fgt.labels[a] != label
+                        and not any(f in task.actions[fgt.labels[b]].add
+                                    for b in above[i + 1:])):
+                    found.append((d, a, f))
+    return found
+
+
+def _chain_task(n):
+    """One step action per edge of the path o0 -> ... -> on; the goal is
+    at(on)."""
+    facts = [f"at(o{i})" for i in range(n + 1)]
+    steps = [(f"step(o{i},o{i + 1})", [facts[i]], [facts[i + 1]], [facts[i]])
+             for i in range(n)]
+    return make_task(facts, steps, [facts[0]], [facts[n]], name=f"chain-{n}")
 
 
 def _nodes_by_label(fgt):
@@ -191,6 +226,8 @@ class TestBuildFgt:
             assert fgt.depths == [len(_root_path(fgt, n)) - 1
                                   for n in range(fgt.size)], t.name
             assert fgt.nodes_of == _nodes_by_label(fgt), t.name
+            assert fgt.ancestor_conflicts == \
+                _ancestor_conflicts_by_paths(fgt, t), t.name
             # every pair on small trees, a spread of nodes on large ones
             sample = range(0, fgt.size, max(1, fgt.size // 100))
             lca = _lca_by_ancestor_sets(fgt)
@@ -351,8 +388,8 @@ def _eager_no_local_minima(task):
         candidates = [nid for f in sorted(a.delete)
                       for nid in nodes_of.get(('F', f), ())
                       if not excluded[nid]]
-        instances = [(d, anc) for d, anc, _ in
-                     _ancestor_conflicts(fgt, task, excluded)]
+        instances = [(d, anc) for d, anc, _ in fgt.ancestor_conflicts
+                     if not excluded[d]]
         for aid, bid in _deletion_pairs(task):
             instances += [
                 (n1, n2) for n1 in nodes_of.get(('A', aid), ())
@@ -391,6 +428,28 @@ class TestAnalyzeTask:
                             lambda *a: calls.append(a) or build_fgt(*a))
         assert analyze_task(t).no_local_minima_verdict == standalone
         assert len(calls) == 1
+
+
+class TestLongChain:
+    """Regression depth beyond the interpreter's recursion limit."""
+
+    def test_tree_and_virtual_walk(self):
+        t = _chain_task(2000)
+        assert sys.getrecursionlimit() < 4000
+        fgt = build_fgt(t)
+        assert fgt.size == 4002 and not fgt.truncated
+        assert fgt.depths[-1] == 4001
+        assert fgt.ancestor_conflicts == []
+        assert interaction_free_verdict(t) == VERDICT_HPLUS_EQUALS_GD
+
+    def test_analyze_task(self):
+        # 600 steps already overflow a recursive walk; the mutex and action
+        # flag passes make longer chains slow to analyze
+        assert sys.getrecursionlimit() < 1200
+        rep = analyze_task(_chain_task(600))
+        assert rep.conflicts == []
+        assert rep.interaction_free_verdict == VERDICT_HPLUS_EQUALS_GD
+        assert rep.no_local_minima_verdict == UNKNOWN
 
 
 class TestValidateRespected:

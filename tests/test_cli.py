@@ -240,7 +240,8 @@ class TestTaxonomy:
 
 
 class TestIntegerArguments:
-    """A malformed integer or an empty range is a usage error."""
+    """A malformed integer, an empty range or a count or factor below its
+    minimum is a usage error."""
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=abc"],
@@ -249,6 +250,9 @@ class TestIntegerArguments:
         ["sample", "--domain", "gripper", "--samples", "0"],
         ["taxonomy", "gripper", "--sizes", "abc"],
         ["taxonomy", "gripper", "--sizes", "3..1"],
+        ["sample", "--domain", "gripper", "--per-group", "0"],
+        ["sample", "--domain", "gripper", "--factor", "0"],
+        ["sample", "--domain", "gripper", "--factor", "-1"],
     ])
     def test_exits_two_without_traceback(self, runner, args):
         res = runner.invoke(main, args)

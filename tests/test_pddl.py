@@ -57,12 +57,30 @@ class TestParse:
         ("  (:action go", "  (:action)\n  (:action go"),
         ("(:predicates (at ?x)", "(:predicates p (at ?x)"),
         ("(:requirements :strips)", "(:requirements (:strips))"),
+        ("(domain mini)", "(domain mini) " + "(" * 3000 + ")" * 3000),
+        ("  (:action go", "  (:action go :parameters (?x) :effect (at ?x))\n"
+                          "  (:action go"),
     ], ids=["domain-name-list", "empty-action", "predicates-bare-symbol",
-            "requirements-list"])
+            "requirements-list", "deeply-nested-parens", "duplicate-action"])
     def test_malformed_section_is_a_parse_error(self, old, new):
         assert old in MINI_DOMAIN
         with pytest.raises(ParseError):
             parse_task(MINI_DOMAIN.replace(old, new, 1), MINI_PROBLEM)
+
+    def test_deeply_nested_and_parses_like_the_flat_form(self):
+        def nest(text):
+            for _ in range(1200):
+                text = f"(and {text})"
+            return text
+
+        nested = MINI_DOMAIN.replace(
+            "(and (at ?from) (linked ?from ?to))",
+            f"(and {nest('(at ?from)')} (linked ?from ?to))").replace(
+            "(and (at ?to) (not (at ?from)))",
+            f"(and (at ?to) {nest('(not (at ?from))')})")
+        assert nested.count("(and") > 2400
+        assert parse_task(nested, MINI_PROBLEM).schemata == \
+            parse_task(MINI_DOMAIN, MINI_PROBLEM).schemata
 
     def test_cyclic_type_hierarchy_is_a_parse_error(self):
         # grounding would otherwise climb a -> b -> a forever looking for c
