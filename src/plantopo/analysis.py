@@ -546,7 +546,7 @@ def _conflict_instances(fgt, task, excluded, deletion_pairs):
 
 
 def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
-                              fgt: Fgt | None = None) -> str:
+                              fgt: Fgt | None = None, flags: list | None = None) -> str:
     """Sufficient test for the absence of local minima under the optimal
     relaxed-plan-length heuristic.
 
@@ -558,11 +558,12 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
     node pair and some fact node labeled with a deleted fact of a are
     pairwise compatible (root paths meeting in AND nodes or along one
     branch) with the fact node below or beside - never above - the
-    conflict.  ``fgt``, when given, is ``build_fgt(task, cap)`` already
-    built by the caller.
+    conflict.  ``fgt`` and ``flags``, when given, are ``build_fgt(task,
+    cap)`` and ``action_flags(task, compute_mutexes(task))`` already
+    computed by the caller.
     """
-    mx = compute_mutexes(task)
-    flags = action_flags(task, mx)
+    if flags is None:
+        flags = action_flags(task, compute_mutexes(task))
     if any(f.at_least_invertible is None for f in flags):
         return UNKNOWN
     if fgt is None:
@@ -611,7 +612,8 @@ def analyze_task(task: Task, cap: int = DEFAULT_NODE_CAP) -> AnalysisReport:
     if not fgt.truncated and fgt.size <= CONFLICT_DETAIL_CAP:
         report.conflicts = find_conflicts(fgt, task)
     report.interaction_free_verdict = interaction_free_verdict(task, cap)
-    report.no_local_minima_verdict = no_local_minima_criterion(task, cap, fgt)
+    report.no_local_minima_verdict = no_local_minima_criterion(
+        task, cap, fgt, report.flags)
     return report
 
 

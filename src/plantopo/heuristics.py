@@ -192,18 +192,22 @@ class _LandmarkCutter:
                             buckets[v].append(g)
             d += 1
 
-    def rounds(self, s, cost):
+    def rounds(self, s, cost, limit=INF):
         """Run cut rounds from state s on (and consume) ``cost``, where
         cost[aid] is a natural, or None for excluded actions.
 
         Returns (total charged cost, first cut found).  Total is INF when
         the goal is unreachable with the non-excluded actions, and the cut
-        is None when the goal holds without any charged action.
+        is None when the goal holds without any charged action.  The rounds
+        stop as soon as the total reaches ``limit``: a total below ``limit``
+        is the full one, and any other is at least ``limit``.
         """
+        if limit <= 0:
+            return 0, None
         val, supp = self._explore(s, cost)
-        return self._cut(val, supp, cost)
+        return self._cut(val, supp, cost, limit)
 
-    def _cut(self, val, supp, cost):
+    def _cut(self, val, supp, cost, limit=INF):
         """The cut rounds of ``rounds``, from h_max values ``val``/``supp``
         already explored under ``cost``; consumes all three."""
         achievers = self.achievers
@@ -237,6 +241,8 @@ class _LandmarkCutter:
                 first_cut = cut
             m = min(cost[aid] for aid in cut)
             total += m
+            if total >= limit:
+                return total, first_cut
             for aid in cut:
                 cost[aid] -= m
             self._lower(val, supp, cost, cut)
@@ -364,7 +370,7 @@ def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
     return len(plan), RelaxedPlan(plan)
 
 
-def h_plus(task: Task, s, budget: int | None = None):
+def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
     """Exact optimal relaxed-plan length via landmark branch-and-bound.
 
     A minimal relaxed plan is a set of actions; every disjunctive action
@@ -378,17 +384,29 @@ def h_plus(task: Task, s, budget: int | None = None):
     (seeded by h_ff).  Each node's bound and cut come from one ``rounds``
     call on the task's ``_LandmarkCutter``, whose tables are built once per
     task: one full h_max exploration per node, then incremental updates
-    after each cut.  The root explores once at unit costs: the h_ff
-    incumbent is extracted from those levels, and the root's cut rounds
-    continue from them.  ``budget`` bounds the nodes: the root counts, and
-    each child counts as it is created, so a root that closes or is pruned
-    never raises.  Agrees with h_plus_oracle everywhere.
+    after each cut, which stop once the bound reaches what the node may
+    still pay below the incumbent, since the node is pruned from there on.
+    The root explores once at unit costs: the h_ff incumbent is extracted
+    from those levels, and the root's cut rounds continue from them.
+    ``budget`` bounds the nodes: the root counts, and each child counts as
+    it is created, so a root that closes or is pruned never raises.  Agrees
+    with h_plus_oracle everywhere.
+
+    ``lower`` and ``upper`` are known bounds on the value, such as those a
+    state's neighbours give: for a transition s -> t by action a,
+    h+(s) <= 1 + h+(t), since a followed by a relaxed plan for t is a
+    relaxed plan for s.  The incumbent starts at ``min(h_ff, upper)``, and
+    the search stops as soon as it meets ``lower``.  With valid bounds the
+    value is the same as without them; only the work shrinks.
     """
     cutter = _cutter(task)
     val, supp = cutter.levels(s)
     best, _ = _relaxed_plan(cutter, val, supp)
     if best == INF:
         return INF
+    best = min(best, upper)
+    if best <= lower:
+        return best
     n = len(task.actions)
     nodes = 1
 
@@ -402,14 +420,16 @@ def h_plus(task: Task, s, budget: int | None = None):
             return
         child = cost[:]
         for aid in cut:
+            if best <= lower:
+                return
             nodes += 1
             if budget is not None and nodes > budget:
                 raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
             child[aid] = 0
-            bb(child, *cutter.rounds(s, child[:]), paid + 1)
+            bb(child, *cutter.rounds(s, child[:], best - paid - 1), paid + 1)
             child[aid] = None
 
-    bb([1] * n, *cutter._cut(val, supp, [1] * n), 0)
+    bb([1] * n, *cutter._cut(val, supp, [1] * n, best), 0)
     return best
 
 

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ResourceExhausted
-from .heuristics import INF, format_value
+from .heuristics import INF, format_value, h_plus
 from .task_model import Task, is_goal, successors
 
 PLATEAU_RECOGNIZED_DEAD_END = "RecognizedDeadEnd"
@@ -68,7 +68,9 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
 
     ``heuristic`` is a callable (task, state) -> value.  Goal distances come
     from a backward breadth-first search over the predecessor lists, which
-    the space keeps, from all goal states.
+    the space keeps, from all goal states.  ``h_plus`` itself is evaluated
+    with bounds from its neighbours (``_h_plus_column``); the values are
+    the same as from plain calls.
     """
     init = frozenset(task.init)
     states = [init]
@@ -92,13 +94,17 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
             succs.append((a.id, nid))
         transitions.append(succs)
 
-    h = [heuristic(task, s) for s in states]
-
-    # goal distance by backward BFS over reversed edges
     preds = [[] for _ in states]
     for sid, succs in enumerate(transitions):
         for _, nid in succs:
             preds[nid].append(sid)
+
+    if heuristic is h_plus:
+        h = _h_plus_column(task, states, transitions, preds)
+    else:
+        h = [heuristic(task, s) for s in states]
+
+    # goal distance by backward BFS over reversed edges
     gd = [INF] * len(states)
     queue = deque()
     for sid, s in enumerate(states):
@@ -115,6 +121,21 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     return StateSpace(task, states, transitions, h, gd, preds, index)
 
 
+def _h_plus_column(task: Task, states, transitions, preds) -> list:
+    """``h_plus`` of every state, in id order (breadth-first order), each
+    call bounded by the neighbours already evaluated.  For a transition
+    s -> t, h+(s) <= 1 + h+(t): the transition's action followed by a
+    relaxed plan for t is a relaxed plan for s.  So a state's value is at
+    least h(p) - 1 for each predecessor p, and at most h(t) + 1 for each
+    successor t."""
+    h = []
+    for sid, s in enumerate(states):
+        lower = max((h[p] - 1 for p in preds[sid] if p < sid), default=0)
+        upper = min((h[t] + 1 for _, t in transitions[sid] if t < sid), default=INF)
+        h.append(h_plus(task, s, lower=lower, upper=upper))
+    return h
+
+
 def dead_end_class(space: StateSpace) -> str:
     for sid, succs in enumerate(space.transitions):
         back = set(space.preds[sid])     # nid -> sid is a transition iff nid in back
@@ -129,36 +150,37 @@ def dead_end_class(space: StateSpace) -> str:
     return DEAD_END_UNRECOGNIZED
 
 
-def _sccs(nodes, succ):
+def _sccs(nodes, succ, size):
     """Iterative Tarjan strongly-connected components over the given nodes,
-    yielded as sets in reverse topological order: every component that a
-    component's edges lead into is yielded before it (Tarjan 1972)."""
-    indexed = {}
-    lowlink = {}
-    on_stack = set()
+    state ids below ``size``, yielded as sets in reverse topological order:
+    every component that a component's edges lead into is yielded before it
+    (Tarjan 1972)."""
+    indexed = [-1] * size
+    lowlink = [0] * size
+    on_stack = [False] * size
     stack = []
-    counter = [0]
+    counter = 0
     for root in nodes:
-        if root in indexed:
+        if indexed[root] >= 0:
             continue
         work = [(root, iter(succ(root)))]
-        indexed[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        indexed[root] = lowlink[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             v, it = work[-1]
             advanced = False
             for w in it:
-                if w not in indexed:
-                    indexed[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
+                if indexed[w] < 0:
+                    indexed[w] = lowlink[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ(w))))
                     advanced = True
                     break
-                elif w in on_stack:
+                elif on_stack[w]:
                     if indexed[w] < lowlink[v]:
                         lowlink[v] = indexed[w]
             if advanced:
@@ -172,7 +194,7 @@ def _sccs(nodes, succ):
                 comp = set()
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.add(w)
                     if w == v:
                         break
@@ -213,7 +235,7 @@ def plateaus(space: StateSpace, exits=None) -> list:
 
         level_exits = exits.get(level, set())
         escaping = set()         # states whose flat paths reach an exit
-        for comp in _sccs(by_level[level], succ):
+        for comp in _sccs(by_level[level], succ, space.size):
             if level == INF:
                 cls = PLATEAU_RECOGNIZED_DEAD_END
             elif level == 0:
@@ -272,7 +294,7 @@ def _unrecognized_depths(space: StateSpace):
 
     reach = {}
     depths = {}
-    for comp in _sccs(members, succ):
+    for comp in _sccs(members, succ, space.size):
         mask = 0
         for sid in comp:
             mask |= bit[sid]

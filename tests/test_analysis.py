@@ -429,6 +429,17 @@ class TestAnalyzeTask:
         assert analyze_task(t).no_local_minima_verdict == standalone
         assert len(calls) == 1
 
+    def test_computes_mutexes_and_flags_once(self, monkeypatch, toll_graph_task):
+        t = toll_graph_task
+        standalone = no_local_minima_criterion(t)
+        calls = []
+        monkeypatch.setattr(analysis, "compute_mutexes",
+                            lambda *a: calls.append("mutexes") or compute_mutexes(*a))
+        monkeypatch.setattr(analysis, "action_flags",
+                            lambda *a: calls.append("flags") or action_flags(*a))
+        assert analyze_task(t).no_local_minima_verdict == standalone
+        assert calls == ["mutexes", "flags"]
+
 
 class TestLongChain:
     """Regression depth beyond the interpreter's recursion limit."""

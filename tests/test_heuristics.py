@@ -118,6 +118,28 @@ class TestLandmarkCutter:
                 cutter.rounds(s, cost)
         assert cuts[0] > 200
 
+    def test_rounds_stop_at_the_limit(self):
+        # below the limit the rounds are the full ones; at or above it they
+        # stop with some total that reaches it
+        rng = random.Random(5)
+        stopped = 0
+        for seed in range(200):
+            t = random_task(seed)
+            cutter = _LandmarkCutter(t)
+            for k in range(4):
+                s = random_walk_state(t, rng)
+                cost = [rng.choice([None, 0, 1, 1, 2, 3]) if k else 1
+                        for _ in t.actions]
+                full = cutter.rounds(s, cost[:])
+                for limit in range(-1, 6):
+                    total, cut = cutter.rounds(s, cost[:], limit)
+                    if full[0] < limit:
+                        assert (total, cut) == full
+                    else:
+                        assert total >= limit
+                        stopped += full[0] != total
+        assert stopped > 50
+
     def test_alternating_tasks_give_fresh_values(self, monkeypatch):
         # same facts and actions, another goal: tables kept for the wrong
         # task would give wrong values without failing; h_ff reads its
@@ -425,6 +447,37 @@ def test_h_plus_matches_oracle(seed, walk):
     t = random_task(seed)
     s = random_walk_state(t, random.Random(walk))
     assert h_plus(t, s) == h_plus_oracle(t, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000), walk=st.integers(0, 100_000))
+def test_h_plus_bounds_keep_the_value(seed, walk):
+    t = random_task(seed)
+    s = random_walk_state(t, random.Random(walk))
+    hp = h_plus(t, s)
+    for k in range(3):
+        for lower, upper in ((hp - k, INF), (0, hp + k), (hp - k, hp + k)):
+            assert h_plus(t, s, lower=lower, upper=upper) == hp
+
+
+def test_h_plus_upper_bound_below_h_ff():
+    # an incumbent below h_ff, alone or meeting the lower bound, gives the
+    # value without a relaxed plan of that length being found
+    rng = random.Random(2)
+    cases = [(t, random_walk_state(t, rng)) for seed in range(300)
+             for t in [random_task(seed)] for _ in range(3)]
+    t = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))
+    cases += [(t, s) for s in reachable_states(t)]
+    below = 0
+    for t, s in cases:
+        hp = h_plus(t, s)
+        if hp == INF or h_ff(t, s)[0] == hp:
+            continue
+        below += 1
+        for lower in (0, hp - 1, hp):
+            assert h_plus(t, s, lower=lower, upper=hp) == hp
+            assert h_plus(t, s, lower=lower, upper=hp + 1) == hp
+    assert below > 10
 
 
 @settings(max_examples=80, deadline=None)

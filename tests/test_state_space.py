@@ -7,7 +7,7 @@ import pytest
 
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF
+from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, h_plus
 from plantopo.state_space import dead_end_class, enumerate_space, \
     exit_distance, export_dot, plateaus, topology_report
 from plantopo.task_model import make_task
@@ -315,6 +315,60 @@ class TestSccPasses:
             assert topology_report(space).unrecognized_dead_end_depths == want
             deepest = max([deepest, *want.values()])
         assert deepest > 2
+
+
+class TestHPlusColumn:
+    """Under ``h_plus`` itself, ``enumerate_space`` bounds each call by the
+    neighbours already evaluated; any other callable is called plainly.
+    Both give the same column."""
+
+    @staticmethod
+    def check(task, monkeypatch):
+        """Both columns of ``task`` agree; returns the B&B rounds each took."""
+        rounds = _LandmarkCutter.rounds
+        counts = []
+
+        def counted(self, *args):
+            counts[-1] += 1
+            return rounds(self, *args)
+
+        monkeypatch.setattr(_LandmarkCutter, "rounds", counted)
+        calls = []
+
+        def wrapper(task, s):
+            calls.append(s)
+            return h_plus(task, s)
+
+        counts.append(0)
+        bounded = enumerate_space(task, h_plus)
+        counts.append(0)
+        plain = enumerate_space(task, wrapper)
+        assert calls == plain.states     # one plain call per state, in id order
+        assert bounded.states == plain.states
+        assert bounded.h == plain.h
+        return counts
+
+    def test_random_tasks(self, monkeypatch):
+        bounded = plain = 0
+        for seed in range(400):
+            b, p = self.check(random_task(seed), monkeypatch)
+            assert b <= p
+            bounded, plain = bounded + b, plain + p
+        assert bounded < plain
+
+    @pytest.mark.parametrize("family,params,seed", [
+        ("blocksworld-arm-stack", {"n": 4}, 0),
+        ("blocksworld-no-arm-stack", {"n": 3}, 0),
+        ("gripper", {"balls": 4}, 0),
+        ("tireworld", {"tires": 1}, 0),
+        ("hanoi", {"discs": 4}, 0),
+        ("ferry", {"cars": 3}, 0),
+        ("ferry", {"cars": 3}, 7),
+    ])
+    def test_topology_families(self, family, params, seed, monkeypatch):
+        task = generate(GeneratorSpec(family, params, seed))
+        bounded, plain = self.check(task, monkeypatch)
+        assert bounded <= plain          # the bounds never add B&B nodes
 
 
 class TestInfinity:
