@@ -63,48 +63,57 @@ def compute_mutexes(task: Task) -> MutexTable:
     because a adds p while q (not deleted by a) is reachable together with
     every precondition fact of a.  Singleton reachability is tracked
     alongside.
+
+    Each fact keeps its set of reachable partners, so the facts that
+    persist through a are the intersection over its precondition facts r
+    of partners[r] | {r} (every reachable fact when a has none), less a's
+    deletes, plus its adds.  An action is revisited only when one of its
+    precondition facts becomes reachable or gains a partner or, for a
+    precondition-free one, when any fact becomes reachable.
     """
-    init = task.init
-    facts_r = set(init)
-    pairs_r = {frozenset((p, q)) for p in init for q in init if p != q}
-
-    def pre_ok(a):
-        if not all(f in facts_r for f in a.pre):
-            return False
-        pre = sorted(a.pre)
-        for i, p in enumerate(pre):
-            for q in pre[i + 1:]:
-                if frozenset((p, q)) not in pairs_r:
-                    return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for a in task.actions:
-            if not pre_ok(a):
+    reachable = set(task.init)
+    partners = [set() for _ in task.facts]
+    for p in reachable:
+        partners[p] = reachable - {p}
+    users = [[] for _ in task.facts]            # fact -> actions needing it
+    for a in task.actions:
+        for r in a.pre:
+            users[r].append(a)
+    free = [a for a in task.actions if not a.pre]
+    queue = list(task.actions)
+    queued = [True] * len(queue)
+    while queue:
+        a = queue.pop()
+        queued[a.id] = False
+        if a.pre:
+            persist = set.intersection(*[partners[r] | {r} for r in a.pre])
+            if not (a.pre <= persist and a.pre <= reachable):
                 continue
-            add = sorted(a.add)
-            for i, p in enumerate(add):
-                if p not in facts_r:
-                    facts_r.add(p)
-                    changed = True
-                for q in add[i + 1:]:
-                    pair = frozenset((p, q))
-                    if pair not in pairs_r:
-                        pairs_r.add(pair)
-                        changed = True
-                # p together with any persisting reachable fact q
-                for q in list(facts_r):
-                    if q == p or q in a.delete or q in a.add:
-                        continue
-                    pair = frozenset((p, q))
-                    if pair in pairs_r:
-                        continue
-                    if all(frozenset((q, r)) in pairs_r for r in a.pre if r != q):
-                        pairs_r.add(pair)
-                        changed = True
-    return MutexTable(len(task.facts), frozenset(pairs_r), frozenset(facts_r))
+        else:
+            persist = set(reachable)
+        persist -= a.delete
+        persist |= a.add
+        grown = []
+        for p in a.add:
+            if p not in reachable:
+                reachable.add(p)
+                grown.extend(free)
+                grown.extend(users[p])
+            new = persist - partners[p]
+            new.discard(p)
+            if new:
+                partners[p] |= new
+                grown.extend(users[p])
+                for q in new:
+                    partners[q].add(p)
+                    grown.extend(users[q])
+        for b in grown:
+            if not queued[b.id]:
+                queued[b.id] = True
+                queue.append(b)
+    pairs = frozenset(frozenset((p, q)) for p in range(len(partners))
+                      for q in partners[p] if p < q)
+    return MutexTable(len(task.facts), pairs, frozenset(reachable))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +146,10 @@ def action_flags(task: Task, mx: MutexTable) -> list:
     """
     all_deletes = frozenset().union(*(a.delete for a in task.actions)) \
         if task.actions else frozenset()
+    needed = [0] * len(task.facts)              # fact -> actions needing it
+    for a in task.actions:
+        for f in a.pre:
+            needed[f] += 1
     flags = []
     for a in task.actions:
         after = (a.pre | a.add) - a.delete
@@ -157,9 +170,8 @@ def action_flags(task: Task, mx: MutexTable) -> list:
         if inv is not None:
             ali = inv if ali is None else ali
         static_add = not (a.add & all_deletes)
-        relevant = bool(a.delete & task.goal)
-        if not relevant:
-            relevant = any(a.delete & b.pre for b in task.actions if b.id != a.id)
+        # a deleted goal fact, or one that an action other than a needs
+        relevant = any(f in task.goal or needed[f] > (f in a.pre) for f in a.delete)
         flags.append(ActionFlags(a.id, inv, ali, static_add, relevant))
     return flags
 

@@ -306,7 +306,10 @@ def h_ff(task: Task, s, tie_break=None):
     action id (``tie_break`` may override the choice among equal-weight
     achievers, for determinism experiments).  Goals are processed highest
     layer first, FIFO within a layer; facts added by an action already
-    selected at the same layer need no achiever of their own.
+    selected at the same layer need no achiever of their own.  An achiever
+    chosen at layer i first applies at layer i-1, so each action is chosen
+    once, at its first layer plus one, and the plan lists the layers in
+    order; no selection is ever pulled forward to a lower layer.
     """
     cutter = _cutter(task)
     val, supp = cutter.levels(s)
@@ -314,59 +317,53 @@ def h_ff(task: Task, s, tie_break=None):
 
 
 def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
-    """``h_ff``'s extraction over ``cutter.levels`` output (val, supp)."""
-    task = cutter.task
+    """``h_ff``'s extraction over ``cutter.levels`` output (val, supp).
+
+    An open goal g at layer i with val[g] == i takes an achiever whose layer
+    is exactly i-1 (a lower one would put g below i), and that selection
+    stamps all its adds at layer i, so it is never chosen again.  The
+    artificial precondition of a precondition-free action has layer 0 and
+    is passed down as a no-op."""
     m = max((val[g] for g in cutter.goal), default=0)
     if m == INF:
         return INF, None
-    actions, achievers = task.actions, cutter.achievers
-    open_goals = {i: [] for i in range(m + 1)}
+    pres, adds, achievers = cutter.pres, cutter.adds, cutter.achievers
+    open_goals = [[] for _ in range(m + 1)]
     open_goals[m].extend(cutter.goal)
-    selected_at = {i: [] for i in range(m + 1)}   # layer -> action ids, selection order
-    added_at = {i: set() for i in range(m + 1)}   # facts added by selections at layer
-    selected_layer = {}                           # action id -> layer of its selection
+    selected_at = [[] for _ in range(m + 1)]    # layer -> action ids, selection order
+    stamp = [0] * len(val)                      # fact -> layer of its last selected adder
     weights = {}
-
-    def weight(aid):
-        w = weights.get(aid)
-        if w is None:
-            w = weights[aid] = sum(val[p] for p in actions[aid].pre)
-        return w
-
     for i in range(m, 0, -1):
-        queue = open_goals[i]
-        k = 0
-        while k < len(queue):
-            g = queue[k]
-            k += 1
-            if g in added_at[i]:
+        below = open_goals[i - 1]
+        selected = selected_at[i]
+        for g in open_goals[i]:
+            if stamp[g] == i:
                 continue
             if val[g] < i:
-                open_goals[i - 1].append(g)     # no-op preferred
+                below.append(g)                 # no-op preferred
                 continue
-            # achievers applicable at layer i-1, in id order
-            candidates = [aid for aid in achievers[g]
-                          if supp[aid] >= 0 and val[supp[aid]] < i]
-            best_w = min(weight(aid) for aid in candidates)
-            best = [aid for aid in candidates if weight(aid) == best_w]
-            if tie_break is not None and len(best) > 1:
-                choice = tie_break(task, g, best)
-            else:
-                choice = min(best)
-            prev = selected_layer.get(choice)
-            if prev is None or prev > i:
-                if prev is not None:
-                    # Already selected for a later layer; pull it forward so
-                    # that its single occurrence precedes this goal's
-                    # consumer, and re-open its preconditions here.
-                    selected_at[prev].remove(choice)
-                selected_layer[choice] = i
-                selected_at[i].append(choice)
-                added_at[i] |= actions[choice].add
-                open_goals[i - 1].extend(sorted(actions[choice].pre))
-    plan = []
-    for i in range(1, m + 1):
-        plan.extend(selected_at[i])
+            # the lightest achiever applicable at layer i-1, first in id order
+            best_w = INF
+            for aid in achievers[g]:
+                p = supp[aid]
+                if p < 0 or val[p] >= i:
+                    continue
+                w = weights.get(aid)
+                if w is None:
+                    w = weights[aid] = sum(map(val.__getitem__, pres[aid]))
+                if w < best_w:
+                    best_w, choice = w, aid
+                    if tie_break is not None:
+                        ties = [aid]
+                elif w == best_w and tie_break is not None:
+                    ties.append(aid)
+            if tie_break is not None and len(ties) > 1:
+                choice = tie_break(cutter.task, g, ties)
+            selected.append(choice)
+            for f in adds[choice]:
+                stamp[f] = i
+            below.extend(pres[choice])
+    plan = [aid for layer in selected_at for aid in layer]
     return len(plan), RelaxedPlan(plan)
 
 

@@ -97,7 +97,69 @@ def _nodes_by_label(fgt):
     return nodes_of
 
 
+def _reference_mutexes(task):
+    """The pairwise reachability fixpoint written out plainly: repeated
+    passes over all actions, each add fact tried against every reachable
+    fact, until a pass changes nothing.  Returns (pairs, facts)."""
+    facts_r = set(task.init)
+    pairs_r = {frozenset((p, q)) for p in task.init for q in task.init if p != q}
+
+    def pre_ok(a):
+        if not all(f in facts_r for f in a.pre):
+            return False
+        pre = sorted(a.pre)
+        for i, p in enumerate(pre):
+            for q in pre[i + 1:]:
+                if frozenset((p, q)) not in pairs_r:
+                    return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for a in task.actions:
+            if not pre_ok(a):
+                continue
+            add = sorted(a.add)
+            for i, p in enumerate(add):
+                if p not in facts_r:
+                    facts_r.add(p)
+                    changed = True
+                for q in add[i + 1:]:
+                    pair = frozenset((p, q))
+                    if pair not in pairs_r:
+                        pairs_r.add(pair)
+                        changed = True
+                for q in list(facts_r):
+                    if q == p or q in a.delete or q in a.add:
+                        continue
+                    pair = frozenset((p, q))
+                    if pair in pairs_r:
+                        continue
+                    if all(frozenset((q, r)) in pairs_r for r in a.pre if r != q):
+                        pairs_r.add(pair)
+                        changed = True
+    return pairs_r, facts_r
+
+
 class TestMutexes:
+    def test_matches_the_plain_fixpoint(self):
+        tasks = [generate(GeneratorSpec(family, params, 0)) for family, params in [
+            ("logistics", {"cities": 2, "size": 2, "packages": 2}),
+            ("simple-tsp", {"locations": 4}),
+            ("blocksworld-arm-stack", {"n": 4}),
+            ("gripper", {"balls": 3}),
+            ("tireworld", {"tires": 1}),
+        ]]
+        # each step deletes its one precondition, so every fact after the
+        # first is reached with no partner at all
+        tasks.append(_chain_task(40))
+        for seed in range(300):
+            tasks += [random_task(seed), random_task(seed, max_facts=16, max_actions=24)]
+        for t in tasks:
+            mx = compute_mutexes(t)
+            assert (mx.reachable_pairs, mx.reachable_facts) == _reference_mutexes(t)
+
     def test_transport_vehicle_position(self, transport_task):
         t = transport_task
         mx = compute_mutexes(t)
@@ -454,8 +516,9 @@ class TestLongChain:
         assert interaction_free_verdict(t) == VERDICT_HPLUS_EQUALS_GD
 
     def test_analyze_task(self):
-        # 600 steps already overflow a recursive walk; the mutex and action
-        # flag passes make longer chains slow to analyze
+        # 600 steps already overflow a recursive walk; what makes longer
+        # chains slow to analyze is action_flags' inverse search and
+        # find_conflicts' _deletion_pairs, each over all pairs of actions
         assert sys.getrecursionlimit() < 1200
         rep = analyze_task(_chain_task(600))
         assert rep.conflicts == []

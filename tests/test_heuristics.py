@@ -246,9 +246,10 @@ def _reference_rpg(task, s):
     return fact_layers, action_layers, first_level, goal_layer
 
 
-def _reference_h_ff(task, s, tie_break=None):
+def _reference_h_ff(task, s, tie_break=None, pulled=None):
     """FF's backward extraction over ``_reference_rpg``, written out
-    independently of the library's layers."""
+    independently of the library's layers.  Each selection it pulls forward
+    to a lower layer is appended to ``pulled``, when given."""
     fact_layers, action_layers, first, m = _reference_rpg(task, s)
     if m is None:
         return INF, None
@@ -283,6 +284,8 @@ def _reference_h_ff(task, s, tie_break=None):
             prev = selected_layer.get(choice)
             if prev is None or prev > i:
                 if prev is not None:
+                    if pulled is not None:
+                        pulled.append(choice)
                     selected_at[prev].remove(choice)
                 selected_layer[choice] = i
                 selected_at[i].append(choice)
@@ -290,6 +293,14 @@ def _reference_h_ff(task, s, tie_break=None):
                 open_goals[i - 1].extend(sorted(task.actions[choice].pre))
     plan = [aid for i in range(1, m + 1) for aid in selected_at[i]]
     return len(plan), plan
+
+
+# An open goal g at layer i is given an achiever only when g first appears at
+# layer i, and every candidate applies at layer i-1 and adds g, so it first
+# applies exactly at layer i-1.  Each action can thus be selected only at its
+# first layer plus one, where its selection marks all its adds, and the
+# reference's pull-forward branch never runs.
+_NOTHING_PULLED_FORWARD = "a selection was pulled forward to a lower layer"
 
 
 def _recording(pick):
@@ -302,18 +313,34 @@ def _recording(pick):
     return tie_break, calls
 
 
-def _assert_matches_reference(t, s):
+def _assert_extraction_invariants(action_layers, plan):
+    """Each action of an ``h_ff`` plan is distinct, and its first applicable
+    layer plus 1 (the layer it was chosen at) never falls along the plan."""
+    if plan is None:
+        return
+    assert len(set(plan.actions)) == len(plan.actions)
+    first = {}
+    for i, layer in enumerate(action_layers):
+        for aid in layer:
+            first.setdefault(aid, i)
+    chosen_at = [first[aid] + 1 for aid in plan.actions]
+    assert chosen_at == sorted(chosen_at)
+
+
+def _assert_matches_reference(t, s, pulled=None):
     rpg = build_rpg(t, s)
     assert (rpg.fact_layers, rpg.action_layers, rpg.first_level,
             rpg.goal_layer) == _reference_rpg(t, s)
     value, plan = h_ff(t, s)
-    assert (value, plan and plan.actions) == _reference_h_ff(t, s)
+    assert (value, plan and plan.actions) == _reference_h_ff(t, s, pulled=pulled)
+    _assert_extraction_invariants(rpg.action_layers, plan)
     for pick in (min, max):
         lib_tb, lib_calls = _recording(pick)
         ref_tb, ref_calls = _recording(pick)
         value, plan = h_ff(t, s, tie_break=lib_tb)
-        assert (value, plan and plan.actions) == _reference_h_ff(t, s, ref_tb)
+        assert (value, plan and plan.actions) == _reference_h_ff(t, s, ref_tb, pulled)
         assert lib_calls == ref_calls
+        _assert_extraction_invariants(rpg.action_layers, plan)
     return len(lib_calls)
 
 
@@ -359,13 +386,15 @@ class TestRpgFromLevels:
     def test_random_tasks(self):
         rng = random.Random(5)
         ties = unreachable = 0
+        pulled = []
         for seed in range(400):
             t = random_task(seed)
             for _ in range(3):
                 s = random_walk_state(t, rng)
-                ties += _assert_matches_reference(t, s)
+                ties += _assert_matches_reference(t, s, pulled)
                 unreachable += build_rpg(t, s).goal_layer is None
         assert ties > 50 and unreachable > 50
+        assert pulled == [], _NOTHING_PULLED_FORWARD
 
     @pytest.mark.parametrize("family,params", [
         ("blocksworld-arm-stack", {"n": 3}),
@@ -373,8 +402,10 @@ class TestRpgFromLevels:
     ])
     def test_whole_space(self, family, params):
         t = generate(GeneratorSpec(family, params, 0))
-        ties = sum(_assert_matches_reference(t, s) for s in reachable_states(t))
+        pulled = []
+        ties = sum(_assert_matches_reference(t, s, pulled) for s in reachable_states(t))
         assert ties > 0
+        assert pulled == [], _NOTHING_PULLED_FORWARD
 
 
 class TestHff:
