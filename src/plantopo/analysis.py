@@ -351,15 +351,20 @@ def _sibling_pairs(fgt: Fgt, firsts, seconds):
 
 
 def _deletion_pairs(task: Task):
-    """Unordered action pairs with a delete/precondition interaction."""
-    pairs = []
+    """Unordered action pairs ``(a, b)``, ``a < b``, in which one action
+    deletes a precondition of the other, sorted.  Only the actions that
+    need a deleted fact are visited."""
+    needers = {}
+    for b in task.actions:
+        for p in b.pre:
+            needers.setdefault(p, []).append(b.id)
+    pairs = set()
     for a in task.actions:
-        for b in task.actions:
-            if b.id <= a.id:
-                continue
-            if (a.delete & b.pre) or (b.delete & a.pre):
-                pairs.append((a.id, b.id))
-    return pairs
+        for f in a.delete:
+            for bid in needers.get(f, ()):
+                if bid != a.id:
+                    pairs.add((min(a.id, bid), max(a.id, bid)))
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------

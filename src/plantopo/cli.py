@@ -17,7 +17,7 @@ from .analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, \
     check_lemmas, interaction_free_verdict, no_local_minima_criterion, \
     validate_respected
 from .errors import PlantopoError
-from .generators import GeneratorSpec, generate, pddl_texts
+from .generators import PARAMS, GeneratorSpec, generate, pddl_texts
 from .heuristics import HEURISTICS, format_value, h_ff
 from .sampling import SampleConfig, run_experiment
 from .search import OUTCOME_SOLVED, enforced_hill_climbing
@@ -25,21 +25,6 @@ from .state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
     DEAD_END_UNDIRECTED, DEAD_END_UNRECOGNIZED, DEFAULT_MAX_STATES, \
     PLATEAU_LOCAL_MINIMUM, enumerate_space, export_dot, topology_report
 from .task_model import Task
-
-# primary size parameter per generated family, for the taxonomy subcommand
-SIZE_PARAMS = {
-    "gripper": "balls",
-    "logistics": "cities",
-    "ferry": "cars",
-    "simple-tsp": "locations",
-    "movie": "items",
-    "hanoi": "discs",
-    "tireworld": "tires",
-    "blocksworld-arm": "blocks",
-    "blocksworld-no-arm": "blocks",
-    "blocksworld-arm-stack": "n",
-    "blocksworld-no-arm-stack": "n",
-}
 
 _SEVERITY = [DEAD_END_UNDIRECTED, DEAD_END_HARMLESS,
              DEAD_END_RECOGNIZED, DEAD_END_UNRECOGNIZED]
@@ -160,12 +145,19 @@ def _int_range(text, what):
     return values
 
 
-def _fail(exc):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """The CLI's one error boundary: a ``PlantopoError`` from any subcommand
+    ends the run with ``error: <message>`` on stderr and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PlantopoError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="plantopo")
 def main():
     """Local-search topology laboratory for STRIPS planning tasks."""
@@ -180,11 +172,8 @@ def main():
 def gen(domain_name, params, seed, domain_file, problem_file):
     """Emit PDDL for a generated instance."""
     values = {k: _int(v, k) for k, v in _parse_params(params).items()}
-    try:
-        spec = GeneratorSpec(domain_name, values, seed)
-        domain_text, problem_text = pddl_texts(spec)
-    except (PlantopoError, ValueError) as exc:
-        _fail(exc)
+    domain_text, problem_text = pddl_texts(
+        GeneratorSpec(domain_name, values, seed))
     if domain_file:
         _write(domain_file, domain_text)
     else:
@@ -202,10 +191,7 @@ def gen(domain_name, params, seed, domain_file, problem_file):
 @click.argument("problem_path", type=click.Path(exists=True))
 def parse(domain_path, problem_path):
     """Parse and ground a task, printing a summary."""
-    try:
-        task = _load_task(domain_path, problem_path)
-    except PlantopoError as exc:
-        _fail(exc)
+    task = _load_task(domain_path, problem_path)
     click.echo(f"task: {task.name}")
     click.echo(f"facts: {len(task.facts)}")
     click.echo(f"actions: {len(task.actions)}")
@@ -222,11 +208,8 @@ def parse(domain_path, problem_path):
               help="print the extracted relaxed plan (hff only)")
 def heuristic(domain_path, problem_path, heuristic, show_plan):
     """Evaluate a heuristic at the initial state."""
-    try:
-        task = _load_task(domain_path, problem_path)
-        value = HEURISTICS[heuristic](task, task.init)
-    except PlantopoError as exc:
-        _fail(exc)
+    task = _load_task(domain_path, problem_path)
+    value = HEURISTICS[heuristic](task, task.init)
     click.echo(f"{heuristic}(init) = {format_value(value)}")
     if show_plan and heuristic == "hff":
         _, plan = h_ff(task, task.init)
@@ -246,12 +229,9 @@ def heuristic(domain_path, problem_path, heuristic, show_plan):
 def topology(domain_path, problem_path, heuristic, max_states, dot_file,
              csv_file):
     """Enumerate the state space and classify its plateaus."""
-    try:
-        task = _load_task(domain_path, problem_path)
-        space = enumerate_space(task, HEURISTICS[heuristic], max_states)
-        report = topology_report(space)
-    except PlantopoError as exc:
-        _fail(exc)
+    task = _load_task(domain_path, problem_path)
+    space = enumerate_space(task, HEURISTICS[heuristic], max_states)
+    report = topology_report(space)
     counts = {}
     for p in report.plateaus:
         counts[p.plateau_class] = counts.get(p.plateau_class, 0) + 1
@@ -285,11 +265,8 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
 @click.option("--budget", default=1_000_000, show_default=True)
 def plan(domain_path, problem_path, heuristic, budget):
     """Plan with enforced hill-climbing."""
-    try:
-        task = _load_task(domain_path, problem_path)
-        result = enforced_hill_climbing(task, HEURISTICS[heuristic], budget)
-    except PlantopoError as exc:
-        _fail(exc)
+    task = _load_task(domain_path, problem_path)
+    result = enforced_hill_climbing(task, HEURISTICS[heuristic], budget)
     click.echo(f"outcome: {result.outcome}")
     click.echo(f"states evaluated: {result.states_evaluated}")
     if result.outcome == OUTCOME_SOLVED:
@@ -326,11 +303,7 @@ def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
     cfg = SampleConfig(samples_per_instance=samples,
                        walk_length_factor=factor, seed=seed,
                        heuristic=heuristic)
-    try:
-        report = run_experiment(specs, cfg)
-    except (PlantopoError, ValueError) as exc:
-        _fail(exc)
-    text = report.to_csv()
+    text = run_experiment(specs, cfg).to_csv()
     if csv_file:
         _write(csv_file, text)
     else:
@@ -346,11 +319,8 @@ def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
               help="also enumerate the space and check respectedness")
 def analyze(domain_path, problem_path, cap, with_space):
     """Static analysis: action properties, conflicts, verdicts."""
-    try:
-        task = _load_task(domain_path, problem_path)
-        report = analyze_task(task, cap)
-    except PlantopoError as exc:
-        _fail(exc)
+    task = _load_task(domain_path, problem_path)
+    report = analyze_task(task, cap)
     click.echo("action flags (invertible / at-least-invertible / "
                "static-adds / relevant-deletes):")
     for f in report.flags:
@@ -376,11 +346,8 @@ def analyze(domain_path, problem_path, cap, with_space):
     click.echo(f"interaction-freeness verdict: {report.interaction_free_verdict}")
     click.echo(f"no-local-minima verdict: {report.no_local_minima_verdict}")
     if with_space:
-        try:
-            space = enumerate_space(task, HEURISTICS["hplus"])
-            respected = validate_respected(task, space)
-        except PlantopoError as exc:
-            _fail(exc)
+        space = enumerate_space(task, HEURISTICS["hplus"])
+        respected = validate_respected(task, space)
         bad = sorted(aid for aid, v in respected.items()
                      if not v["respected"])
         click.echo(f"states enumerated: {space.size}")
@@ -404,50 +371,45 @@ def analyze(domain_path, problem_path, cap, with_space):
 def taxonomy(domain_name, sizes, seed, max_states, cap, fmt):
     """Classify a generated family by exhaustive topology plus static
     verdicts, at the examined sizes only."""
-    if domain_name not in SIZE_PARAMS:
-        click.echo(f"error: no generator for {domain_name!r}; supported: "
-                   + ", ".join(sorted(SIZE_PARAMS)), err=True)
-        sys.exit(1)
-    size_param = SIZE_PARAMS[domain_name]
+    if domain_name not in PARAMS:
+        raise PlantopoError(f"no generator for {domain_name!r}; supported: "
+                            + ", ".join(sorted(PARAMS)))
+    size_param = PARAMS[domain_name][0]
     size_list = _int_range(sizes, "--sizes")
     card = TaxonomyCard(domain_name, size_param, size_list,
                         DEAD_END_UNDIRECTED, 0, 0)
     lemma1 = lemma2 = True
     ifree = nlm = None
-    try:
-        for size in size_list:
-            spec = GeneratorSpec(domain_name, {size_param: size}, seed)
-            task = generate(spec)
-            space = enumerate_space(task, HEURISTICS["hplus"], max_states)
-            report = topology_report(space)
-            if _SEVERITY.index(report.dead_end_class) > \
-                    _SEVERITY.index(card.dead_end_class):
-                card.dead_end_class = report.dead_end_class
-            card.mlmed = max(card.mlmed, report.mlmed)
-            card.mbed = max(card.mbed, report.mbed)
-            card.per_size.append((size, report.dead_end_class,
-                                  report.mlmed, report.mbed))
-            if any(p.plateau_class == PLATEAU_LOCAL_MINIMUM
-                   for p in report.plateaus):
-                card.local_minimum_seen = True
-            lemmas = check_lemmas(task)
-            lemma1 = lemma1 and lemmas.lemma1
-            lemma2 = lemma2 and lemmas.lemma2
-            verdict = interaction_free_verdict(task, cap)
-            if ifree in (None, verdict):
-                ifree = verdict
-            elif UNKNOWN in (ifree, verdict):
-                ifree = UNKNOWN
-            else:
-                # both positive, one of them only via repairs
-                ifree = VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS
-            verdict = no_local_minima_criterion(task, cap)
-            nlm = verdict if nlm in (None, verdict) else UNKNOWN
-        card.lemma1, card.lemma2 = lemma1, lemma2
-        card.interaction_free, card.no_local_minima = ifree, nlm
-        click.echo(emit_report(card, fmt), nl=False)
-    except (PlantopoError, ValueError) as exc:
-        _fail(exc)
+    for size in size_list:
+        task = generate(GeneratorSpec(domain_name, {size_param: size}, seed))
+        space = enumerate_space(task, HEURISTICS["hplus"], max_states)
+        report = topology_report(space)
+        if _SEVERITY.index(report.dead_end_class) > \
+                _SEVERITY.index(card.dead_end_class):
+            card.dead_end_class = report.dead_end_class
+        card.mlmed = max(card.mlmed, report.mlmed)
+        card.mbed = max(card.mbed, report.mbed)
+        card.per_size.append((size, report.dead_end_class,
+                              report.mlmed, report.mbed))
+        if any(p.plateau_class == PLATEAU_LOCAL_MINIMUM
+               for p in report.plateaus):
+            card.local_minimum_seen = True
+        lemmas = check_lemmas(task)
+        lemma1 = lemma1 and lemmas.lemma1
+        lemma2 = lemma2 and lemmas.lemma2
+        verdict = interaction_free_verdict(task, cap)
+        if ifree in (None, verdict):
+            ifree = verdict
+        elif UNKNOWN in (ifree, verdict):
+            ifree = UNKNOWN
+        else:
+            # both positive, one of them only via repairs
+            ifree = VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS
+        verdict = no_local_minima_criterion(task, cap, flags=lemmas.flags)
+        nlm = verdict if nlm in (None, verdict) else UNKNOWN
+    card.lemma1, card.lemma2 = lemma1, lemma2
+    card.interaction_free, card.no_local_minima = ifree, nlm
+    click.echo(emit_report(card, fmt), nl=False)
 
 
 if __name__ == "__main__":

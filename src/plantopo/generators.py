@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import pddl
+from .errors import PreconditionViolated
 from .task_model import Task
 
 
@@ -38,7 +39,7 @@ class GeneratorSpec:
 
 def _require(cond, msg):
     if not cond:
-        raise ValueError(msg)
+        raise PreconditionViolated(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +738,11 @@ DOMAINS = {
 }
 
 
-# parameter names each family reads; the hand-built fixtures read none
+# parameter names each family reads, its size parameter first: the one
+# `taxonomy` varies (for logistics, cities); the hand-built fixtures read none
 PARAMS = {
     "gripper": ("balls",),
-    "logistics": ("airplanes", "cities", "packages", "size"),
+    "logistics": ("cities", "airplanes", "packages", "size"),
     "ferry": ("cars", "locations"),
     "simple-tsp": ("locations",),
     "movie": ("items",),
@@ -756,13 +758,13 @@ PARAMS = {
 def pddl_texts(spec: GeneratorSpec):
     """The (domain, problem) PDDL texts for a generator spec."""
     if spec.domain_name not in DOMAINS:
-        raise ValueError(f"unknown domain {spec.domain_name}; "
-                         f"supported: {', '.join(sorted(DOMAINS))}")
+        raise PreconditionViolated(f"unknown domain {spec.domain_name}; "
+                                   f"supported: {', '.join(sorted(DOMAINS))}")
     accepted = PARAMS.get(spec.domain_name, ())
     unknown = [k for k, _ in spec.params if k not in accepted]
     _require(not unknown,
              f"{spec.domain_name} has no parameter {', '.join(unknown)}; "
-             f"accepted: {', '.join(accepted) or 'none'}")
+             f"accepted: {', '.join(sorted(accepted)) or 'none'}")
     return DOMAINS[spec.domain_name](spec)
 
 

@@ -182,7 +182,7 @@ def run_experiment(specs: list, cfg: SampleConfig,
                     max_ed = max(max_ed, ed)
             row.valley_percentage = 100.0 * row.valley_count / len(states)
             row.sampled_max_exit_distance = max_ed
-        except (PlantopoError, ValueError) as exc:
+        except PlantopoError as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         report.rows.append(row)
         if row.error is None:

@@ -35,26 +35,13 @@ def enforced_hill_climbing(task: Task, heuristic, budget: int = 1_000_000) -> Se
     episode only.  Fails when an episode exhausts, gives up when more than
     ``budget`` states are evaluated.
     """
-    evaluated = 0
-
-    class _Budget(Exception):
-        pass
-
-    def h(s):
-        nonlocal evaluated
-        evaluated += 1
-        if evaluated > budget:
-            raise _Budget()
-        return heuristic(task, s)
-
     current = frozenset(task.init)
+    evaluated = 1
+    if evaluated > budget:
+        return SearchResult(OUTCOME_EXHAUSTED, states_evaluated=evaluated)
+    current_h = heuristic(task, current)
     plan = []
     depths = []
-    try:
-        current_h = h(current)
-    except _Budget:
-        return SearchResult(OUTCOME_EXHAUSTED, states_evaluated=evaluated)
-    best_state = current
     while True:
         if is_goal(task, current):
             return SearchResult(OUTCOME_SOLVED, plan, evaluated, depths)
@@ -62,33 +49,31 @@ def enforced_hill_climbing(task: Task, heuristic, budget: int = 1_000_000) -> Se
         closed = {current}
         queue = deque([(current, [])])
         found = None
-        try:
-            while queue:
-                s, path = queue.popleft()
-                for a, ns in successors(task, s):
-                    if ns in closed:
-                        continue
-                    closed.add(ns)
-                    nh = h(ns)
-                    if nh == INF:
-                        continue
-                    if nh < current_h:
-                        found = (ns, path + [a.id], nh)
-                        break
-                    queue.append((ns, path + [a.id]))
-                if found:
+        while queue and found is None:
+            s, path = queue.popleft()
+            for a, ns in successors(task, s):
+                if ns in closed:
+                    continue
+                closed.add(ns)
+                evaluated += 1
+                if evaluated > budget:
+                    return SearchResult(OUTCOME_EXHAUSTED,
+                                        states_evaluated=evaluated,
+                                        episode_depths=depths,
+                                        best_state=current)
+                nh = heuristic(task, ns)
+                if nh == INF:
+                    continue
+                if nh < current_h:
+                    found = (ns, path + [a.id], nh)
                     break
-        except _Budget:
-            return SearchResult(OUTCOME_EXHAUSTED, states_evaluated=evaluated,
-                                episode_depths=depths, best_state=best_state)
+                queue.append((ns, path + [a.id]))
         if found is None:
             return SearchResult(OUTCOME_FAILED, states_evaluated=evaluated,
-                                episode_depths=depths, best_state=best_state)
-        ns, path, nh = found
+                                episode_depths=depths, best_state=current)
+        current, path, current_h = found
         depths.append(len(path))
         plan.extend(path)
-        current, current_h = ns, nh
-        best_state = ns
 
 
 def invert_and_replay(task: Task, trace, base_plan, flags) -> list:

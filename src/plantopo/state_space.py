@@ -104,21 +104,27 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     else:
         h = [heuristic(task, s) for s in states]
 
-    # goal distance by backward BFS over reversed edges
-    gd = [INF] * len(states)
-    queue = deque()
-    for sid, s in enumerate(states):
-        if is_goal(task, s):
-            gd[sid] = 0
-            queue.append(sid)
+    gd = _distances_to(preds, [sid for sid, s in enumerate(states)
+                               if is_goal(task, s)])
+    return StateSpace(task, states, transitions, h, gd, preds, index)
+
+
+def _distances_to(preds, targets) -> list:
+    """Per state id, the breadth-first distance to the nearest of the
+    ``targets`` over all transitions (a backward search over the
+    predecessor lists ``preds``); INF when none is reachable."""
+    dist = [INF] * len(preds)
+    for sid in targets:
+        dist[sid] = 0
+    queue = deque(targets)
     while queue:
         sid = queue.popleft()
+        d = dist[sid] + 1
         for pid in preds[sid]:
-            if gd[pid] == INF:
-                gd[pid] = gd[sid] + 1
+            if dist[pid] == INF:
+                dist[pid] = d
                 queue.append(pid)
-
-    return StateSpace(task, states, transitions, h, gd, preds, index)
+    return dist
 
 
 def _h_plus_column(task: Task, states, transitions, preds) -> list:
@@ -228,7 +234,7 @@ def plateaus(space: StateSpace, exits=None) -> list:
     for sid, v in enumerate(h):
         by_level.setdefault(v, []).append(sid)
     result = []
-    for level in sorted(by_level, key=lambda v: (v == INF, v)):
+    for level in sorted(by_level):
 
         def succ(sid):
             return [nid for _, nid in transitions[sid] if h[nid] == level]
@@ -256,19 +262,7 @@ def exit_distances(space: StateSpace, level, exits=None) -> list:
     One multi-source search from the exits over the predecessor lists."""
     if exits is None:
         exits = _exits_by_level(space).get(level, set())
-    dist = [INF] * space.size
-    for sid in exits:
-        dist[sid] = 0
-    queue = deque(exits)
-    preds = space.preds
-    while queue:
-        sid = queue.popleft()
-        d = dist[sid] + 1
-        for pid in preds[sid]:
-            if dist[pid] == INF:
-                dist[pid] = d
-                queue.append(pid)
-    return dist
+    return _distances_to(space.preds, exits)
 
 
 def exit_distance(space: StateSpace, sid: int):
@@ -348,11 +342,7 @@ def export_dot(space: StateSpace) -> str:
     by_level = {}
     for sid in range(space.size):
         by_level.setdefault(space.h[sid], []).append(sid)
-
-    def level_key(v):
-        return (v == INF, v)
-
-    for level in sorted(by_level, key=level_key):
+    for level in sorted(by_level):
         ids = sorted(by_level[level])
         label = format_value(level)
         for sid in ids:

@@ -325,6 +325,12 @@ class TestFindConflicts:
         with pytest.raises(Truncated):
             find_conflicts(fgt, transport_task)
 
+    def test_deletion_pairs_match_all_pairs(self):
+        for t in _tree_test_tasks():
+            want = [(a.id, b.id) for a in t.actions for b in t.actions
+                    if a.id < b.id and (a.delete & b.pre or b.delete & a.pre)]
+            assert _deletion_pairs(t) == want
+
 
 class TestRepairable:
     def test_tsp_witness_exists(self):
@@ -517,8 +523,8 @@ class TestLongChain:
 
     def test_analyze_task(self):
         # 600 steps already overflow a recursive walk; what makes longer
-        # chains slow to analyze is action_flags' inverse search and
-        # find_conflicts' _deletion_pairs, each over all pairs of actions
+        # chains slow to analyze is action_flags' inverse search, which
+        # still tries every pair of actions
         assert sys.getrecursionlimit() < 1200
         rep = analyze_task(_chain_task(600))
         assert rep.conflicts == []

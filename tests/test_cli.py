@@ -10,8 +10,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from plantopo.cli import SIZE_PARAMS, main
-from plantopo.generators import PARAMS
+from plantopo.cli import main
 
 HERE = pathlib.Path(__file__).parent
 ROOT = HERE.parent
@@ -234,9 +233,36 @@ class TestTaxonomy:
         assert res.exit_code == 1
         assert res.output.startswith("error: ")
 
-    def test_every_size_parameter_is_accepted(self):
-        for domain, key in SIZE_PARAMS.items():
-            assert key in PARAMS[domain], domain
+
+class TestErrorBoundary:
+    """Every domain error leaves through the one boundary in ``main``: exit
+    status 1 and a single ``error: `` line on stderr, never a traceback."""
+
+    BAD = "<broken.pddl>"           # replaced by a file holding broken PDDL
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--domain", "gripper", "--param", "balls=0"],
+        ["parse", BAD, BAD],
+        ["heuristic", BAD, BAD],
+        ["topology", BAD, BAD],
+        ["plan", BAD, BAD],
+        ["analyze", BAD, BAD],
+        ["topology"] + task_args("gripper2") + ["--max-states", "3"],
+        ["taxonomy", "warehouse", "--sizes", "1"],
+        ["taxonomy", "gripper", "--sizes", "0"],
+    ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
+            "analyze", "topology-state-cap", "taxonomy-unknown-family",
+            "taxonomy-size-0"])
+    def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
+        bad = tmp_path / "bad.pddl"
+        bad.write_text("(define (domain broken")
+        args = [str(bad) if a == self.BAD else a for a in args]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        assert "Traceback" not in res.output
 
 
 class TestIntegerArguments:

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from plantopo.errors import ParseError, PlantopoError, UnsupportedFeature
+from plantopo.errors import ParseError, PlantopoError, PreconditionViolated, \
+    UnsupportedFeature
 from plantopo.generators import DOMAINS, GeneratorSpec, generate, pddl_texts
 from plantopo.pddl import ground, parse_task, serialize
 
@@ -177,21 +178,21 @@ class TestRoundTrip:
 
 class TestGeneratorContracts:
     def test_unknown_domain_lists_supported(self):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(PreconditionViolated) as exc:
             pddl_texts(GeneratorSpec("warehouse", {}, 0))
         assert "gripper" in str(exc.value)
 
     def test_out_of_range_parameter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             generate(GeneratorSpec("hanoi", {"discs": 0}, 0))
 
     def test_misspelled_parameter_names_accepted_keys(self):
         for call in (generate, pddl_texts):
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(PreconditionViolated) as exc:
                 call(GeneratorSpec("logistics", {"city_size": 5}, 0))
             assert "city_size" in str(exc.value)
             assert "airplanes, cities, packages, size" in str(exc.value)
-        with pytest.raises(ValueError, match="accepted: none"):
+        with pytest.raises(PreconditionViolated, match="accepted: none"):
             generate(GeneratorSpec("transport-swap", {"n": 1}, 0))
 
     def test_gripper_shape(self):

@@ -59,8 +59,15 @@ class TestEnforcedHillClimbing:
 
     def test_budget_exhaustion(self):
         t = generate(GeneratorSpec("gripper", {"balls": 3}, 0))
-        res = enforced_hill_climbing(t, H_PLUS, budget=2)
-        assert res.outcome == OUTCOME_EXHAUSTED
+        for budget in (0, 1, 2):
+            res = enforced_hill_climbing(t, H_PLUS, budget=budget)
+            assert res.outcome == OUTCOME_EXHAUSTED, budget
+            assert res.states_evaluated == budget + 1, budget
+            assert res.plan == [] and res.episode_depths == [], budget
+            if budget == 0:
+                assert res.best_state is None
+            else:
+                assert res.best_state == frozenset(t.init)
 
     def test_fails_on_unsolvable(self):
         t = make_task(["p", "g"], [("a", ["p"], ["p"], [])], ["p"], ["g"])
