@@ -143,32 +143,37 @@ def action_flags(task: Task, mx: MutexTable) -> list:
     del(inverse) inconsistent with pre(a).  Static add effects: no action
     deletes any add fact of a.  Relevant delete effects: a delete fact
     appears in the goal or in another action's precondition.
+
+    Each witness is the first match in id order.  The candidates are looked
+    up, not scanned: an inverse by its (add, delete) pair, and an at least
+    inverse among the adders of one of a's delete facts (every action when
+    a deletes nothing).  An inverse is also an at least inverse.
     """
     all_deletes = frozenset().union(*(a.delete for a in task.actions)) \
         if task.actions else frozenset()
     needed = [0] * len(task.facts)              # fact -> actions needing it
+    adders = [[] for _ in task.facts]           # fact -> actions adding it
+    by_effects = {}                             # (add, delete) -> actions
     for a in task.actions:
         for f in a.pre:
             needed[f] += 1
+        for f in a.add:
+            adders[f].append(a)
+        by_effects.setdefault((a.add, a.delete), []).append(a)
     flags = []
     for a in task.actions:
         after = (a.pre | a.add) - a.delete
         inv = None
-        ali = None
-        cond1 = all(_inconsistent_with_some(mx, f, a.pre) for f in a.add)
-        for b in task.actions:
-            if not b.pre <= after:
-                continue
-            if (inv is None and cond1 and a.delete <= a.pre
-                    and b.add == a.delete and b.delete == a.add):
-                inv = b.id
-            if (ali is None and b.add >= a.delete
-                    and all(_inconsistent_with_some(mx, f, a.pre) for f in b.delete)):
-                ali = b.id
-            if inv is not None and ali is not None:
-                break
-        if inv is not None:
-            ali = inv if ali is None else ali
+        if a.delete <= a.pre and all(_inconsistent_with_some(mx, f, a.pre)
+                                     for f in a.add):
+            inv = next((b.id for b in by_effects.get((a.delete, a.add), ())
+                        if b.pre <= after), None)
+        candidates = min((adders[f] for f in a.delete), key=len,
+                         default=task.actions)
+        ali = next((b.id for b in candidates
+                    if b.pre <= after and b.add >= a.delete
+                    and all(_inconsistent_with_some(mx, f, a.pre) for f in b.delete)),
+                   None)
         static_add = not (a.add & all_deletes)
         # a deleted goal fact, or one that an action other than a needs
         relevant = any(f in task.goal or needed[f] > (f in a.pre) for f in a.delete)

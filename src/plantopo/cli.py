@@ -293,7 +293,8 @@ def plan(domain_path, problem_path, heuristic, budget):
 @click.option("--csv", "csv_file", type=click.Path(), default=None)
 def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
            csv_file):
-    """Random-walk sampling over generated instance groups."""
+    """Random-walk sampling over generated instance groups.  An instance
+    that fails is flagged in its row; a domain error when all of them do."""
     ranges = {k: _int_range(v, k) for k, v in _parse_params(params).items()}
     groups = [{}]
     for key in sorted(ranges):
@@ -303,7 +304,11 @@ def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
     cfg = SampleConfig(samples_per_instance=samples,
                        walk_length_factor=factor, seed=seed,
                        heuristic=heuristic)
-    text = run_experiment(specs, cfg).to_csv()
+    report = run_experiment(specs, cfg)
+    if all(row.error for row in report.rows):
+        raise PlantopoError("no instance could be sampled; first error: "
+                            f"{report.rows[0].error}")
+    text = report.to_csv()
     if csv_file:
         _write(csv_file, text)
     else:

@@ -367,6 +367,58 @@ def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
     return len(plan), RelaxedPlan(plan)
 
 
+def _pruned_plan(cutter: _LandmarkCutter, s, plan):
+    """A relaxed plan from s (a list of action ids) less redundant actions.
+
+    Drops the actions one at a time, last first, whenever the rest still
+    reach the goal from s in the delete-relaxed fixpoint; no single action
+    can be dropped from the result, which need not be minimum.  Each test
+    counts down the preconditions missing in s of every kept action, over
+    the plan's own index of them.  Returns the kept actions in an order in
+    which they apply one after another."""
+    s = frozenset(s)
+    pres, adds = cutter.pres, cutter.adds
+    missing = []                    # plan position -> preconditions not in s
+    users = {}                      # fact not in s -> plan positions needing it
+    for i, aid in enumerate(plan):
+        m = 0
+        for p in pres[aid]:
+            if p not in s and p != cutter.top:
+                m += 1
+                users.setdefault(p, []).append(i)
+        missing.append(m)
+    open_goals = [g for g in cutter.goal if g not in s]
+
+    def fired(keep):
+        """The kept actions in firing order if they reach the goal, else None."""
+        left = missing[:]
+        stack = [i for i, k in enumerate(keep) if k and not left[i]]
+        order = []
+        reached = set()
+        while stack:
+            i = stack.pop()
+            order.append(plan[i])
+            for f in adds[plan[i]]:
+                if f not in s and f not in reached:
+                    reached.add(f)
+                    for j in users.get(f, ()):
+                        left[j] -= 1
+                        if not left[j] and keep[j]:
+                            stack.append(j)
+        return order if all(g in reached for g in open_goals) else None
+
+    keep = [True] * len(plan)
+    order = plan
+    for i in range(len(plan) - 1, -1, -1):
+        keep[i] = False
+        rest = fired(keep)
+        if rest is None:
+            keep[i] = True
+        else:
+            order = rest
+    return order
+
+
 def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
     """Exact optimal relaxed-plan length via landmark branch-and-bound.
 
@@ -377,14 +429,17 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
     commits member i into the plan (its cost drops to zero) and bans
     members 0..i-1, which partitions the candidate plans.  A branch closes
     when the goal becomes reachable through committed actions alone, and is
-    pruned when the paid cost plus the landmark bound reaches the incumbent
-    (seeded by h_ff).  Each node's bound and cut come from one ``rounds``
-    call on the task's ``_LandmarkCutter``, whose tables are built once per
-    task: one full h_max exploration per node, then incremental updates
-    after each cut, which stop once the bound reaches what the node may
-    still pay below the incumbent, since the node is pruned from there on.
-    The root explores once at unit costs: the h_ff incumbent is extracted
-    from those levels, and the root's cut rounds continue from them.
+    pruned when the paid cost plus the landmark bound reaches the incumbent.
+    Each node's bound and cut come from one ``rounds`` call on the task's
+    ``_LandmarkCutter``, whose tables are built once per task: one full
+    h_max exploration per node, then incremental updates after each cut,
+    which stop once the bound reaches what the node may still pay below the
+    incumbent, since the node is pruned from there on.  The root explores
+    once at unit costs: h_ff's relaxed plan is extracted from those levels,
+    and the root's cut rounds continue from them.  The incumbent is h_ff,
+    and only when the root's bound stays below it (the root would branch)
+    is it lowered to the length of h_ff's plan less its redundant actions
+    (``_pruned_plan``); the root closes when its bound meets that.
     ``budget`` bounds the nodes: the root counts, and each child counts as
     it is created, so a root that closes or is pruned never raises.  Agrees
     with h_plus_oracle everywhere.
@@ -398,13 +453,18 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
     """
     cutter = _cutter(task)
     val, supp = cutter.levels(s)
-    best, _ = _relaxed_plan(cutter, val, supp)
+    best, plan = _relaxed_plan(cutter, val, supp)
     if best == INF:
         return INF
     best = min(best, upper)
     if best <= lower:
         return best
     n = len(task.actions)
+    total, cut = cutter._cut(val, supp, [1] * n, best)
+    if total < best:
+        # the root would branch; FF's plan less its redundant actions may
+        # be an incumbent that closes it
+        best = min(best, len(_pruned_plan(cutter, s, plan.actions)))
     nodes = 1
 
     def bb(cost, total, cut, paid):
@@ -426,7 +486,7 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
             bb(child, *cutter.rounds(s, child[:], best - paid - 1), paid + 1)
             child[aid] = None
 
-    bb([1] * n, *cutter._cut(val, supp, [1] * n, best), 0)
+    bb([1] * n, total, cut, 0)
     return best
 
 

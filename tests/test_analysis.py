@@ -90,6 +90,34 @@ def _chain_task(n):
     return make_task(facts, steps, [facts[0]], [facts[n]], name=f"chain-{n}")
 
 
+def _all_pairs_action_flags(task, mx):
+    """``action_flags`` as a plain search: every action is tried as the
+    witness of every other, in id order."""
+    def inconsistent(f, facts):
+        return any(mx.inconsistent(f, g) for g in facts)
+
+    flags = []
+    for a in task.actions:
+        after = (a.pre | a.add) - a.delete
+        inv = ali = None
+        for b in task.actions:
+            if not b.pre <= after:
+                continue
+            if (inv is None and a.delete <= a.pre
+                    and all(inconsistent(f, a.pre) for f in a.add)
+                    and b.add == a.delete and b.delete == a.add):
+                inv = b.id
+            if (ali is None and b.add >= a.delete
+                    and all(inconsistent(f, a.pre) for f in b.delete)):
+                ali = b.id
+        static_add = not any(a.add & b.delete for b in task.actions)
+        relevant = any(f in task.goal or any(f in b.pre for b in task.actions
+                                             if b is not a)
+                       for f in a.delete)
+        flags.append(analysis.ActionFlags(a.id, inv, ali, static_add, relevant))
+    return flags
+
+
 def _nodes_by_label(fgt):
     nodes_of = {}
     for nid in range(1, fgt.size):
@@ -211,6 +239,37 @@ class TestActionFlags:
         inflate = flags[t.action_by_name["inflate(spare1)"]]
         assert inflate.static_add_effects
         assert not inflate.relevant_delete_effects
+
+    def test_matches_the_all_pairs_search(self):
+        tasks = [random_task(seed, max_facts=5) for seed in range(300)]
+        tasks += [generate(GeneratorSpec(family, params, 0)) for family, params in [
+            ("gripper", {"balls": 2}), ("simple-tsp", {"locations": 3}),
+            ("transport-swap", {}), ("movie", {}), ("tireworld", {"tires": 1}),
+            ("blocksworld-arm", {"blocks": 3}),
+            ("ferry", {"cars": 2, "locations": 3})]]
+        tasks.append(_chain_task(300))
+        witnesses = [0, 0]
+        for t in tasks:
+            mx = compute_mutexes(t)
+            flags = action_flags(t, mx)
+            assert flags == _all_pairs_action_flags(t, mx)
+            witnesses[0] += sum(f.invertible is not None for f in flags)
+            witnesses[1] += sum(f.invertible != f.at_least_invertible for f in flags)
+        assert min(witnesses) > 50
+
+    def test_first_applicable_inverse_in_id_order(self):
+        # three actions undo "go"; the first needs r, which never holds after
+        # it, and the other two apply right after it
+        t = make_task(["p", "q", "r"], [
+            ("go", ["p"], ["q"], ["p"]), ("back-r", ["r"], ["p"], ["q"]),
+            ("back", ["q"], ["p"], ["q"]), ("back-too", ["q"], ["p"], ["q"])],
+            ["p"], ["q"])
+        mx = compute_mutexes(t)
+        flags = action_flags(t, mx)
+        assert flags == _all_pairs_action_flags(t, mx)
+        back = t.action_by_name["back"]
+        go = flags[t.action_by_name["go"]]
+        assert go.invertible == go.at_least_invertible == back
 
     def test_invertible_implies_at_least_invertible(self):
         for seed in range(30):
@@ -522,11 +581,10 @@ class TestLongChain:
         assert interaction_free_verdict(t) == VERDICT_HPLUS_EQUALS_GD
 
     def test_analyze_task(self):
-        # 600 steps already overflow a recursive walk; what makes longer
-        # chains slow to analyze is action_flags' inverse search, which
-        # still tries every pair of actions
-        assert sys.getrecursionlimit() < 1200
-        rep = analyze_task(_chain_task(600))
+        # the per-action passes index their candidates, so a chain as long as
+        # the tree test's analyzes in well under a second
+        assert sys.getrecursionlimit() < 4000
+        rep = analyze_task(_chain_task(2000))
         assert rep.conflicts == []
         assert rep.interaction_free_verdict == VERDICT_HPLUS_EQUALS_GD
         assert rep.no_local_minima_verdict == UNKNOWN

@@ -192,6 +192,15 @@ class TestSample:
         assert res.exit_code == 0
         assert out.read_text().startswith("domain,params,")
 
+    def test_some_failed_instances_are_flagged(self, runner):
+        res = runner.invoke(main, ["sample", "--domain", "gripper",
+                                   "--param", "balls=0..1", "--samples", "5"])
+        assert res.exit_code == 0, res.output
+        rows = res.output.splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].endswith(",PreconditionViolated: gripper needs balls >= 1")
+        assert rows[1].endswith(",")
+
 
 class TestAnalyze:
     def test_toll_graph_report(self, runner):
@@ -250,9 +259,11 @@ class TestErrorBoundary:
         ["topology"] + task_args("gripper2") + ["--max-states", "3"],
         ["taxonomy", "warehouse", "--sizes", "1"],
         ["taxonomy", "gripper", "--sizes", "0"],
+        ["sample", "--domain", "warehouse", "--samples", "5"],
+        ["sample", "--domain", "gripper", "--param", "balls=0", "--samples", "5"],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
-            "taxonomy-size-0"])
+            "taxonomy-size-0", "sample-unknown-family", "sample-balls-0"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")

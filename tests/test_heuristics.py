@@ -11,7 +11,8 @@ from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, \
-    _cutter, build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
+    _cutter, _pruned_plan, build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
+from plantopo.state_space import enumerate_space
 from plantopo.task_model import make_task, validate_plan
 
 from conftest import random_single_achiever_task, random_task, \
@@ -44,7 +45,8 @@ class TestHPlus:
         with pytest.raises(ResourceExhausted):
             h_plus(t, s, budget=0)
         # the root counts as a node only when it branches, that is when its
-        # unit-cost LM-cut bound stays below the h_ff incumbent
+        # unit-cost LM-cut bound stays below the incumbent: h_ff's plan less
+        # its redundant actions
         rng = random.Random(0)
         cases = [(t, random_walk_state(t, rng)) for seed in range(200)
                  for t in [random_task(seed)] for _ in range(3)]
@@ -52,13 +54,35 @@ class TestHPlus:
         cases += [(t, s) for s in reachable_states(t)]
         branched = 0
         for t, s in cases:
-            if _cutter(t).rounds(s, [1] * len(t.actions))[0] < h_ff(t, s)[0]:
+            ff, plan = h_ff(t, s)
+            incumbent = ff if plan is None else \
+                len(_pruned_plan(_cutter(t), s, plan.actions))
+            if _cutter(t).rounds(s, [1] * len(t.actions))[0] < incumbent:
                 branched += 1
                 with pytest.raises(ResourceExhausted):
                     h_plus(t, s, budget=0)
             else:
                 assert h_plus(t, s, budget=0) == h_plus(t, s)
         assert 0 < branched < len(cases)
+
+    @pytest.mark.parametrize("family,cap", [
+        ("blocksworld-arm-stack", 2.0),
+        ("blocksworld-no-arm-stack", 1.8),
+    ])
+    def test_explorations_per_state(self, monkeypatch, family, cap):
+        # counts branch-and-bound work rather than timing it: one h_max
+        # exploration for the root of each state and one per child
+        t = generate(GeneratorSpec(family, {"n": 4}, 0))
+        calls = [0]
+        explore = _LandmarkCutter._explore
+
+        def counted(self, s, cost):
+            calls[0] += 1
+            return explore(self, s, cost)
+
+        monkeypatch.setattr(_LandmarkCutter, "_explore", counted)
+        space = enumerate_space(t, h_plus)
+        assert calls[0] / len(space.states) <= cap
 
 
 def _h_max_by_value_iteration(task, s, cost):
@@ -524,6 +548,56 @@ def test_h_ff_dominates_h_plus_and_agrees_on_infinity(seed, walk):
         assert ff >= hp
         assert validate_plan(t, [t.actions[a] for a in plan.actions],
                              relaxed=True, start=s)
+
+
+def _relaxed_reaches(task, s, aids):
+    """Whether the actions ``aids``, in any order, reach the goal from s
+    under the delete relaxation: plain passes until nothing is added."""
+    state = set(s)
+    changed = True
+    while changed:
+        changed = False
+        for aid in aids:
+            a = task.actions[aid]
+            if a.pre <= state and not a.add <= state:
+                state |= a.add
+                changed = True
+    return task.goal <= state
+
+
+def _assert_pruned_plan(t, s, exact):
+    """h_ff's plan from s less redundant actions is a relaxed plan from s,
+    in an order that applies, from which no single action can be dropped,
+    and no shorter than ``exact(t, s)``.  Returns how many were dropped."""
+    ff, plan = h_ff(t, s)
+    if plan is None:
+        return 0
+    pruned = _pruned_plan(_cutter(t), s, plan.actions)
+    assert len(set(pruned)) == len(pruned) and set(pruned) <= set(plan.actions)
+    assert validate_plan(t, [t.actions[a] for a in pruned], relaxed=True, start=s)
+    for i in range(len(pruned)):
+        assert not _relaxed_reaches(t, s, pruned[:i] + pruned[i + 1:])
+    assert len(pruned) >= exact(t, s)
+    return ff - len(pruned)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000), walk=st.integers(0, 100_000))
+def test_pruned_plan_is_a_relaxed_plan_without_redundant_actions(seed, walk):
+    t = random_task(seed)
+    _assert_pruned_plan(t, random_walk_state(t, random.Random(walk)), h_plus_oracle)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("blocksworld-arm-stack", {"n": 3}),
+    ("gripper", {"balls": 3}),
+])
+def test_pruned_plan_on_whole_space(family, params):
+    # random tasks rarely give h_ff a redundant action; these spaces do, and
+    # some of their pruned plans apply only in another order than h_ff's
+    t = generate(GeneratorSpec(family, params, 0))
+    dropped = [_assert_pruned_plan(t, s, h_plus) for s in reachable_states(t)]
+    assert sum(d > 0 for d in dropped) >= 5
 
 
 @settings(max_examples=60, deadline=None)
