@@ -223,7 +223,8 @@ def heuristic(domain_path, problem_path, heuristic, show_plan):
 @click.argument("problem_path", type=click.Path(exists=True))
 @click.option("--h", "heuristic", default="hplus", show_default=True,
               type=click.Choice(sorted(HEURISTICS)))
-@click.option("--max-states", default=DEFAULT_MAX_STATES, show_default=True)
+@click.option("--max-states", default=DEFAULT_MAX_STATES, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--dot", "dot_file", type=click.Path(), default=None)
 @click.option("--csv", "csv_file", type=click.Path(), default=None)
 def topology(domain_path, problem_path, heuristic, max_states, dot_file,
@@ -319,6 +320,7 @@ def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
 @click.argument("domain_path", type=click.Path(exists=True))
 @click.argument("problem_path", type=click.Path(exists=True))
 @click.option("--fgt-cap", "cap", default=100_000, show_default=True,
+              type=click.IntRange(min=1),
               help="node cap for the goal regression tree")
 @click.option("--with-space", is_flag=True,
               help="also enumerate the space and check respectedness")
@@ -369,8 +371,10 @@ def analyze(domain_path, problem_path, cap, with_space):
 @click.argument("domain_name")
 @click.option("--sizes", required=True, help="lo..hi for the size parameter")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-states", default=DEFAULT_MAX_STATES, show_default=True)
-@click.option("--cap", default=100_000, show_default=True)
+@click.option("--max-states", default=DEFAULT_MAX_STATES, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--cap", default=100_000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "csv"]))
 def taxonomy(domain_name, sizes, seed, max_states, cap, fmt):

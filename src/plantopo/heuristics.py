@@ -419,7 +419,7 @@ def _pruned_plan(cutter: _LandmarkCutter, s, plan):
     return order
 
 
-def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
+def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     """Exact optimal relaxed-plan length via landmark branch-and-bound.
 
     A minimal relaxed plan is a set of actions; every disjunctive action
@@ -444,19 +444,17 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0, upper=INF):
     it is created, so a root that closes or is pruned never raises.  Agrees
     with h_plus_oracle everywhere.
 
-    ``lower`` and ``upper`` are known bounds on the value, such as those a
-    state's neighbours give: for a transition s -> t by action a,
-    h+(s) <= 1 + h+(t), since a followed by a relaxed plan for t is a
-    relaxed plan for s.  The incumbent starts at ``min(h_ff, upper)``, and
-    the search stops as soon as it meets ``lower``.  With valid bounds the
-    value is the same as without them; only the work shrinks.
+    ``lower`` is a known lower bound on the value, such as a predecessor
+    gives: for a transition p -> s by action a, h+(p) <= 1 + h+(s), since
+    a followed by a relaxed plan for s is a relaxed plan for p.  The search
+    stops as soon as the incumbent meets ``lower``.  With a valid bound the
+    value is the same as without it; only the work shrinks.
     """
     cutter = _cutter(task)
     val, supp = cutter.levels(s)
     best, plan = _relaxed_plan(cutter, val, supp)
     if best == INF:
         return INF
-    best = min(best, upper)
     if best <= lower:
         return best
     n = len(task.actions)

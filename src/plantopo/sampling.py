@@ -97,7 +97,7 @@ def sample_states(task: Task, cfg: SampleConfig) -> list:
     return samples
 
 
-def on_valley(task: Task, s, heuristic, max_states: int = DEFAULT_MAX_STATES) -> bool:
+def on_valley(task: Task, s, heuristic) -> bool:
     """True iff no goal state is reachable from s along a path on which the
     heuristic value is monotonically non-increasing."""
     h = memoized(heuristic, task)
@@ -115,15 +115,14 @@ def on_valley(task: Task, s, heuristic, max_states: int = DEFAULT_MAX_STATES) ->
             if is_goal(task, v):
                 return False
             seen.add(v)
-            if len(seen) > max_states:
+            if len(seen) > DEFAULT_MAX_STATES:
                 raise ResourceExhausted(
-                    f"valley search exceeded {max_states} states")
+                    f"valley search exceeded {DEFAULT_MAX_STATES} states")
             queue.append(v)
     return True
 
 
-def sampled_exit_distance(task: Task, s, heuristic,
-                          max_states: int = DEFAULT_MAX_STATES):
+def sampled_exit_distance(task: Task, s, heuristic):
     """Distance to the nearest exit at s's heuristic level, breadth-first
     over all transitions from s, without full enumeration."""
     h = memoized(heuristic, task)
@@ -149,15 +148,14 @@ def sampled_exit_distance(task: Task, s, heuristic,
             if is_exit(v):
                 return d + 1
             seen.add(v)
-            if len(seen) > max_states:
+            if len(seen) > DEFAULT_MAX_STATES:
                 raise ResourceExhausted(
-                    f"exit-distance search exceeded {max_states} states")
+                    f"exit-distance search exceeded {DEFAULT_MAX_STATES} states")
             queue.append((v, d + 1))
     return INF
 
 
-def run_experiment(specs: list, cfg: SampleConfig,
-                   max_states: int = DEFAULT_MAX_STATES) -> SampleReport:
+def run_experiment(specs: list, cfg: SampleConfig) -> SampleReport:
     """Sample every instance, flag per-instance failures instead of aborting,
     and aggregate means per (domain, parameters) group.  One heuristic memo
     serves each instance's valley tests, heuristic values and exit-distance
@@ -174,11 +172,11 @@ def run_experiment(specs: list, cfg: SampleConfig,
             max_ed = 0
             h = memoized(heuristic, task)
             for s in states:
-                if on_valley(task, s, h, max_states):
+                if on_valley(task, s, h):
                     row.valley_count += 1
                 hv = h(task, s)
                 if hv != INF and hv != 0:
-                    ed = sampled_exit_distance(task, s, h, max_states)
+                    ed = sampled_exit_distance(task, s, h)
                     max_ed = max(max_ed, ed)
             row.valley_percentage = 100.0 * row.valley_count / len(states)
             row.sampled_max_exit_distance = max_ed

@@ -69,8 +69,8 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     ``heuristic`` is a callable (task, state) -> value.  Goal distances come
     from a backward breadth-first search over the predecessor lists, which
     the space keeps, from all goal states.  ``h_plus`` itself is evaluated
-    with bounds from its neighbours (``_h_plus_column``); the values are
-    the same as from plain calls.
+    with lower bounds from its predecessors (``_h_plus_column``); the
+    values are the same as from plain calls.
     """
     init = frozenset(task.init)
     states = [init]
@@ -100,7 +100,7 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
             preds[nid].append(sid)
 
     if heuristic is h_plus:
-        h = _h_plus_column(task, states, transitions, preds)
+        h = _h_plus_column(task, states, preds)
     else:
         h = [heuristic(task, s) for s in states]
 
@@ -127,18 +127,16 @@ def _distances_to(preds, targets) -> list:
     return dist
 
 
-def _h_plus_column(task: Task, states, transitions, preds) -> list:
+def _h_plus_column(task: Task, states, preds) -> list:
     """``h_plus`` of every state, in id order (breadth-first order), each
-    call bounded by the neighbours already evaluated.  For a transition
-    s -> t, h+(s) <= 1 + h+(t): the transition's action followed by a
-    relaxed plan for t is a relaxed plan for s.  So a state's value is at
-    least h(p) - 1 for each predecessor p, and at most h(t) + 1 for each
-    successor t."""
+    call bounded below by the predecessors already evaluated.  For a
+    transition p -> s, h+(p) <= 1 + h+(s): the transition's action followed
+    by a relaxed plan for s is a relaxed plan for p.  So a state's value is
+    at least h(p) - 1 for each predecessor p, and at least 0."""
     h = []
     for sid, s in enumerate(states):
-        lower = max((h[p] - 1 for p in preds[sid] if p < sid), default=0)
-        upper = min((h[t] + 1 for _, t in transitions[sid] if t < sid), default=INF)
-        h.append(h_plus(task, s, lower=lower, upper=upper))
+        lower = max([0, *(h[p] - 1 for p in preds[sid] if p < sid)])
+        h.append(h_plus(task, s, lower=lower))
     return h
 
 

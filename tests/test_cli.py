@@ -277,8 +277,8 @@ class TestErrorBoundary:
 
 
 class TestIntegerArguments:
-    """A malformed integer, an empty range or a count or factor below its
-    minimum is a usage error."""
+    """A malformed integer, an empty range or a count, factor or cap below
+    its minimum is a usage error."""
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=abc"],
@@ -290,6 +290,10 @@ class TestIntegerArguments:
         ["sample", "--domain", "gripper", "--per-group", "0"],
         ["sample", "--domain", "gripper", "--factor", "0"],
         ["sample", "--domain", "gripper", "--factor", "-1"],
+        ["analyze"] + task_args("transport") + ["--fgt-cap", "0"],
+        ["taxonomy", "gripper", "--sizes", "1..1", "--cap", "0"],
+        ["topology"] + task_args("gripper2") + ["--max-states", "-3"],
+        ["taxonomy", "gripper", "--sizes", "1..1", "--max-states", "0"],
     ])
     def test_exits_two_without_traceback(self, runner, args):
         res = runner.invoke(main, args)

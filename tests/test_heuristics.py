@@ -511,28 +511,7 @@ def test_h_plus_bounds_keep_the_value(seed, walk):
     s = random_walk_state(t, random.Random(walk))
     hp = h_plus(t, s)
     for k in range(3):
-        for lower, upper in ((hp - k, INF), (0, hp + k), (hp - k, hp + k)):
-            assert h_plus(t, s, lower=lower, upper=upper) == hp
-
-
-def test_h_plus_upper_bound_below_h_ff():
-    # an incumbent below h_ff, alone or meeting the lower bound, gives the
-    # value without a relaxed plan of that length being found
-    rng = random.Random(2)
-    cases = [(t, random_walk_state(t, rng)) for seed in range(300)
-             for t in [random_task(seed)] for _ in range(3)]
-    t = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))
-    cases += [(t, s) for s in reachable_states(t)]
-    below = 0
-    for t, s in cases:
-        hp = h_plus(t, s)
-        if hp == INF or h_ff(t, s)[0] == hp:
-            continue
-        below += 1
-        for lower in (0, hp - 1, hp):
-            assert h_plus(t, s, lower=lower, upper=hp) == hp
-            assert h_plus(t, s, lower=lower, upper=hp + 1) == hp
-    assert below > 10
+        assert h_plus(t, s, lower=hp - k) == hp
 
 
 @settings(max_examples=80, deadline=None)
