@@ -12,10 +12,10 @@ All verdicts are sound: a positive answer is a theorem about the task, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PreconditionViolated, Truncated
-from .heuristics import INF, h_plus, memoized
+from .heuristics import INF, _cutter, h_plus, memoized
 from .state_space import StateSpace
 from .task_model import GroundAction, Task
 
@@ -69,22 +69,21 @@ def compute_mutexes(task: Task) -> MutexTable:
     of partners[r] | {r} (every reachable fact when a has none), less a's
     deletes, plus its adds.  An action is revisited only when one of its
     precondition facts becomes reachable or gains a partner or, for a
-    precondition-free one, when any fact becomes reachable.
+    precondition-free one, when any fact becomes reachable.  The actions
+    needing a fact are read off the task's ``_cutter`` tables.
     """
     reachable = set(task.init)
     partners = [set() for _ in task.facts]
     for p in reachable:
         partners[p] = reachable - {p}
-    users = [[] for _ in task.facts]            # fact -> actions needing it
-    for a in task.actions:
-        for r in a.pre:
-            users[r].append(a)
-    free = [a for a in task.actions if not a.pre]
-    queue = list(task.actions)
+    users = _cutter(task).pre_index             # fact -> ids of actions needing it
+    free = users[len(task.facts)]               # ids of precondition-free actions
+    queue = list(range(len(task.actions)))
     queued = [True] * len(queue)
     while queue:
-        a = queue.pop()
-        queued[a.id] = False
+        aid = queue.pop()
+        queued[aid] = False
+        a = task.actions[aid]
         if a.pre:
             persist = set.intersection(*[partners[r] | {r} for r in a.pre])
             if not (a.pre <= persist and a.pre <= reachable):
@@ -108,8 +107,8 @@ def compute_mutexes(task: Task) -> MutexTable:
                     partners[q].add(p)
                     grown.extend(users[q])
         for b in grown:
-            if not queued[b.id]:
-                queued[b.id] = True
+            if not queued[b]:
+                queued[b] = True
                 queue.append(b)
     pairs = frozenset(frozenset((p, q)) for p in range(len(partners))
                       for q in partners[p] if p < q)
@@ -147,18 +146,14 @@ def action_flags(task: Task, mx: MutexTable) -> list:
     Each witness is the first match in id order.  The candidates are looked
     up, not scanned: an inverse by its (add, delete) pair, and an at least
     inverse among the adders of one of a's delete facts (every action when
-    a deletes nothing).  An inverse is also an at least inverse.
+    a deletes nothing).  An inverse is also an at least inverse.  The
+    adders and needers of each fact are the task's ``_cutter`` tables.
     """
+    cutter = _cutter(task)
     all_deletes = frozenset().union(*(a.delete for a in task.actions)) \
         if task.actions else frozenset()
-    needed = [0] * len(task.facts)              # fact -> actions needing it
-    adders = [[] for _ in task.facts]           # fact -> actions adding it
     by_effects = {}                             # (add, delete) -> actions
     for a in task.actions:
-        for f in a.pre:
-            needed[f] += 1
-        for f in a.add:
-            adders[f].append(a)
         by_effects.setdefault((a.add, a.delete), []).append(a)
     flags = []
     for a in task.actions:
@@ -168,15 +163,16 @@ def action_flags(task: Task, mx: MutexTable) -> list:
                                      for f in a.add):
             inv = next((b.id for b in by_effects.get((a.delete, a.add), ())
                         if b.pre <= after), None)
-        candidates = min((adders[f] for f in a.delete), key=len,
-                         default=task.actions)
-        ali = next((b.id for b in candidates
+        candidates = min((cutter.achievers[f] for f in a.delete), key=len,
+                         default=range(len(task.actions)))
+        ali = next((b.id for b in map(task.actions.__getitem__, candidates)
                     if b.pre <= after and b.add >= a.delete
                     and all(_inconsistent_with_some(mx, f, a.pre) for f in b.delete)),
                    None)
         static_add = not (a.add & all_deletes)
         # a deleted goal fact, or one that an action other than a needs
-        relevant = any(f in task.goal or needed[f] > (f in a.pre) for f in a.delete)
+        relevant = any(f in task.goal or len(cutter.pre_index[f]) > (f in a.pre)
+                       for f in a.delete)
         flags.append(ActionFlags(a.id, inv, ali, static_add, relevant))
     return flags
 
@@ -199,15 +195,6 @@ class AnalysisReport:
     no_local_minima_verdict: str | None = None
 
 
-def _achievers(task: Task) -> dict:
-    """Fact id -> ids of the actions adding it, in action-id order."""
-    achievers = {}
-    for a in task.actions:
-        for p in a.add:
-            achievers.setdefault(p, []).append(a.id)
-    return achievers
-
-
 def check_lemmas(task: Task) -> AnalysisReport:
     mx = compute_mutexes(task)
     flags = action_flags(task, mx)
@@ -215,7 +202,7 @@ def check_lemmas(task: Task) -> AnalysisReport:
     lemma2 = all(f.at_least_invertible is not None
                  or (f.static_add_effects and not f.relevant_delete_effects)
                  for f in flags)
-    prop2 = all(len(ids) <= 1 for ids in _achievers(task).values())
+    prop2 = all(len(ids) <= 1 for ids in _cutter(task).achievers)
     prop3 = len(task.goal) <= 1 and all(len(a.pre) <= 1 for a in task.actions)
     prop4 = prop3 and all(a.delete <= a.pre for a in task.actions)
     return AnalysisReport(mx, flags, lemma1, lemma2, prop2, prop3, prop4)
@@ -271,7 +258,7 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
     the goal as precondition, included) requires and that no action in
     between re-adds, and the two labels differ.
     """
-    achievers = _achievers(task)
+    achievers = _cutter(task).achievers
     actions = task.actions
     kinds, labels, parents, children = [], [], [], []
     ancestor_conflicts = []
@@ -290,7 +277,7 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
             children[parent].append(nid)
         if kind == 'F':
             facts_on_path.add(label)
-            kept = [aid for aid in achievers.get(label, ())
+            kept = [aid for aid in achievers[label]
                     if facts_on_path.isdisjoint(actions[aid].pre)]  # rule 1
             stack.append((nid, iter(kept), (), None))
             return
@@ -359,14 +346,11 @@ def _deletion_pairs(task: Task):
     """Unordered action pairs ``(a, b)``, ``a < b``, in which one action
     deletes a precondition of the other, sorted.  Only the actions that
     need a deleted fact are visited."""
-    needers = {}
-    for b in task.actions:
-        for p in b.pre:
-            needers.setdefault(p, []).append(b.id)
+    needers = _cutter(task).pre_index
     pairs = set()
     for a in task.actions:
         for f in a.delete:
-            for bid in needers.get(f, ()):
+            for bid in needers[f]:
                 if bid != a.id:
                     pairs.add((min(a.id, bid), max(a.id, bid)))
     return sorted(pairs)
@@ -480,7 +464,7 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
     def mask(facts):
         return sum(1 << f for f in facts)
 
-    achievers = _achievers(task)
+    achievers = _cutter(task).achievers
     pre_mask = [mask(a.pre) for a in task.actions] + [mask(task.goal)]
     add_mask = [mask(a.add) for a in task.actions] + [0]
     del_mask = [mask(a.delete) for a in task.actions] + [0]
@@ -527,7 +511,7 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
                 if expansions > cap:
                     return UNKNOWN
                 below = on_path | (1 << child)
-                kept = [aid for aid in achievers.get(child, ())
+                kept = [aid for aid in achievers[child]
                         if not pre_mask[aid] & below]       # rule 1
                 stack.append(['F', key, below, pre_path, vulnerable,
                               iter(kept), 0])
@@ -687,16 +671,10 @@ def validate_rp_irrelevant_deletes(task: Task, s, a: GroundAction) -> bool:
     if a.delete & task.goal:
         return False
     kept = [b for b in task.actions if not b.pre & a.delete]
-    renumbered = [GroundAction(i, b.name, b.pre, b.add, b.delete)
-                  for i, b in enumerate(kept)]
-    restricted = Task(
-        facts=task.facts,
-        actions=renumbered,
-        init=task.init,
-        goal=task.goal,
-        name=task.name + "#restricted",
-        fact_by_name=task.fact_by_name,
-        action_by_name={b.name: b.id for b in renumbered},
-    )
+    renumbered = tuple(GroundAction(i, b.name, b.pre, b.add, b.delete)
+                       for i, b in enumerate(kept))
+    restricted = replace(task, actions=renumbered,
+                         name=task.name + "#restricted",
+                         action_by_name={b.name: b.id for b in renumbered})
     start = (s | a.add) - a.delete
     return h_plus(restricted, start) <= base - 1

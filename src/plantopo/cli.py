@@ -209,13 +209,12 @@ def parse(domain_path, problem_path):
 def heuristic(domain_path, problem_path, heuristic, show_plan):
     """Evaluate a heuristic at the initial state."""
     task = _load_task(domain_path, problem_path)
-    value = HEURISTICS[heuristic](task, task.init)
+    value, plan = h_ff(task, task.init) if heuristic == "hff" \
+        else (HEURISTICS[heuristic](task, task.init), None)
     click.echo(f"{heuristic}(init) = {format_value(value)}")
-    if show_plan and heuristic == "hff":
-        _, plan = h_ff(task, task.init)
-        if plan is not None:
-            for aid in plan.actions:
-                click.echo(task.actions[aid].name)
+    if show_plan and plan is not None:
+        for aid in plan.actions:
+            click.echo(task.actions[aid].name)
 
 
 @main.command()
@@ -263,7 +262,8 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
 @click.argument("problem_path", type=click.Path(exists=True))
 @click.option("--h", "heuristic", default="hff", show_default=True,
               type=click.Choice(sorted(HEURISTICS)))
-@click.option("--budget", default=1_000_000, show_default=True)
+@click.option("--budget", default=1_000_000, show_default=True,
+              type=click.IntRange(min=1))
 def plan(domain_path, problem_path, heuristic, budget):
     """Plan with enforced hill-climbing."""
     task = _load_task(domain_path, problem_path)

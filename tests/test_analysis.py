@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plantopo import analysis
+from plantopo import analysis, heuristics
 from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
     Conflict, UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
     VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
@@ -566,6 +566,25 @@ class TestAnalyzeTask:
                             lambda *a: calls.append("flags") or action_flags(*a))
         assert analyze_task(t).no_local_minima_verdict == standalone
         assert calls == ["mutexes", "flags"]
+
+    def test_interleaved_tasks_read_their_own_tables(self, monkeypatch):
+        # analysis reads the single-task table cache of heuristics._cutter,
+        # which h_plus shares: alternating tasks must never see another
+        # task's tables
+        a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))
+        b = generate(GeneratorSpec("gripper", {"balls": 2}, 0))
+        calls = []
+        for sa, sb in zip(*(sorted(reachable_states(t), key=sorted)[:4]
+                            for t in (a, b))):
+            calls += [(analyze_task, a), (h_plus, b, sb), (compute_mutexes, a),
+                      (analyze_task, b), (h_plus, a, sa), (compute_mutexes, b)]
+
+        def fresh(f, *args):
+            monkeypatch.setattr(heuristics, "_last_cutter", None)
+            return f(*args)
+
+        expected = [fresh(*c) for c in calls]
+        assert [f(*args) for f, *args in calls] == expected
 
 
 class TestLongChain:

@@ -294,6 +294,7 @@ class TestIntegerArguments:
         ["taxonomy", "gripper", "--sizes", "1..1", "--cap", "0"],
         ["topology"] + task_args("gripper2") + ["--max-states", "-3"],
         ["taxonomy", "gripper", "--sizes", "1..1", "--max-states", "0"],
+        ["plan"] + task_args("gripper2") + ["--budget", "0"],
     ])
     def test_exits_two_without_traceback(self, runner, args):
         res = runner.invoke(main, args)
