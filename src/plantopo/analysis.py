@@ -250,8 +250,31 @@ class Fgt:
         return u
 
 
+def _bits(mask):
+    """Yield the indexes of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(task: Task):
+    """Three lists of fact masks indexed by action id: preconditions, add
+    effects and delete effects.  Index ``len(task.actions)`` is the goal
+    pseudo-action, whose preconditions are the goal and which adds and
+    deletes nothing."""
+    def mask(facts):
+        return sum(1 << f for f in facts)
+
+    return ([mask(a.pre) for a in task.actions] + [mask(task.goal)],
+            [mask(a.add) for a in task.actions] + [0],
+            [mask(a.delete) for a in task.actions] + [0])
+
+
 def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
-    """Build the tree depth-first on an explicit stack of open nodes.
+    """Build the tree depth-first on an explicit stack of open nodes, each
+    with its path context as fact masks, the frames of the virtual walk in
+    ``interaction_free_verdict``.
 
     Each action node records its ancestor conflicts as it is created: the
     action deletes a fact that some action node above it (the root, with
@@ -259,67 +282,56 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
     between re-adds, and the two labels differ.
     """
     achievers = _cutter(task).achievers
-    actions = task.actions
-    kinds, labels, parents, children = [], [], [], []
+    pre_mask, add_mask, del_mask = _masks(task)
+    goal = len(task.actions)
+    kinds, labels, parents, children = ['A'], [None], [None], [[]]
     ancestor_conflicts = []
-    facts_on_path = set()
-    pre_counts = {}
-    vulnerable = {}                   # fact -> action nodes above requiring it
-    stack = []                        # (node, child labels left, pre, saved)
-
-    def open_node(kind, label, parent):
+    # (node, child labels left, path facts, required facts, vulnerable facts:
+    # required above and not re-added since)
+    g = pre_mask[goal]
+    stack = [(0, _bits(g), 0, g, g)]
+    truncated = False
+    while stack:
+        parent, pending, on_path, pre_path, vulnerable = stack[-1]
+        label = next(pending, None)
+        if label is None:
+            stack.pop()
+            continue
         nid = len(kinds)
-        kinds.append(kind)
+        if nid >= node_cap:
+            truncated = True
+            break
         labels.append(label)
         parents.append(parent)
         children.append([])
-        if parent is not None:
-            children[parent].append(nid)
-        if kind == 'F':
-            facts_on_path.add(label)
+        children[parent].append(nid)
+        if kinds[parent] == 'A':
+            kinds.append('F')
+            below = on_path | (1 << label)
             kept = [aid for aid in achievers[label]
-                    if facts_on_path.isdisjoint(actions[aid].pre)]  # rule 1
-            stack.append((nid, iter(kept), (), None))
-            return
-        if label is None:
-            pre, add, dele = task.goal, (), ()
-        else:
-            a = actions[label]
-            pre, add, dele = a.pre, a.add, a.delete
-        for f in dele:
-            for anc in vulnerable.get(f, ()):
-                if labels[anc] != label:
-                    ancestor_conflicts.append((nid, anc, f))
-        saved = {f: vulnerable[f] for f in add if vulnerable.get(f)}
-        for f in saved:
-            vulnerable[f] = []
-        for f in pre:
-            vulnerable.setdefault(f, []).append(nid)
-        # rule 2 is evaluated before this node's preconditions join the path
-        kept = [p for p in sorted(pre) if not pre_counts.get(p)]
-        for p in pre:
-            pre_counts[p] = pre_counts.get(p, 0) + 1
-        stack.append((nid, iter(kept), pre, saved))
-
-    open_node('A', None, None)
-    truncated = False
-    while stack:
-        nid, pending, pre, saved = stack[-1]
-        label = next(pending, None)
-        if label is not None:
-            if len(kinds) >= node_cap:
-                truncated = True
-                break
-            open_node('F' if kinds[nid] == 'A' else 'A', label, nid)
+                    if not pre_mask[aid] & below]           # rule 1
+            stack.append((nid, iter(kept), below, pre_path, vulnerable))
             continue
-        stack.pop()
-        if kinds[nid] == 'F':
-            facts_on_path.discard(labels[nid])
-        for p in pre:
-            pre_counts[p] -= 1
-            vulnerable[p].pop()
-        if saved:
-            vulnerable.update(saved)
+        kinds.append('A')
+        if del_mask[label] & vulnerable:
+            # in the order of the delete set, each fact's requirers root first
+            for f in task.actions[label].delete:
+                bit = 1 << f
+                if not vulnerable & bit:
+                    continue
+                # requirers of f up to its nearest re-adder, that one included
+                above, up = [], nid
+                while up:
+                    up = parents[parents[up]]
+                    a = labels[up] if up else goal
+                    if pre_mask[a] & bit and a != label:
+                        above.append(up)
+                    if add_mask[a] & bit:
+                        break
+                ancestor_conflicts.extend((nid, n, f) for n in reversed(above))
+        pm = pre_mask[label]
+        stack.append((nid, _bits(pm & ~pre_path), on_path,      # rule 2
+                      pre_path | pm, (vulnerable & ~add_mask[label]) | pm))
     # indexed in one pass over the finished tree: growing two more per-node
     # lists alongside the tree raised the process's peak RSS
     depths = [0] * len(kinds)
@@ -437,14 +449,6 @@ def find_conflicts(fgt: Fgt, task: Task) -> list:
 # Verdicts
 
 
-def _bits(mask):
-    """Yield the indexes of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
     """Can every minimal relaxed plan be reordered/repaired into a real one?
 
@@ -458,16 +462,10 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
     under identical path context (facts seen, preconditions required,
     vulnerable facts), so expansions are memoized on that context and
     ``cap`` bounds the number of distinct expansions rather than explicit
-    tree nodes.  The goal is pseudo-action ``len(task.actions)``: its
-    preconditions are the goal, and it adds and deletes nothing.
+    tree nodes.  The goal is walked as the pseudo-action of ``_masks``.
     """
-    def mask(facts):
-        return sum(1 << f for f in facts)
-
     achievers = _cutter(task).achievers
-    pre_mask = [mask(a.pre) for a in task.actions] + [mask(task.goal)]
-    add_mask = [mask(a.add) for a in task.actions] + [0]
-    del_mask = [mask(a.delete) for a in task.actions] + [0]
+    pre_mask, add_mask, del_mask = _masks(task)
 
     allied = {}                       # action id -> actions in earlier siblings
     memo = {}

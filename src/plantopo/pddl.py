@@ -368,6 +368,8 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
 
 
 def _validate_lifted(lifted: LiftedTask):
+    """Reject what would otherwise ground silently wrong: a type cycle, an
+    undeclared type, predicate, variable or constant, an arity mismatch."""
     for t in lifted.types:
         chain = set()
         while t != "object":
@@ -375,19 +377,32 @@ def _validate_lifted(lifted: LiftedTask):
                 raise ParseError(f"type {t} is its own ancestor")
             chain.add(t)
             t = lifted.types.get(t, "object")
+    known_types = {"object", *lifted.types, *lifted.types.values()}
+    for name, t in lifted.objects.items():
+        if t not in known_types:
+            raise ParseError(f"undeclared type {t} of object {name}")
     for sch in lifted.schemata:
+        for v, t in sch.params:
+            if t not in known_types:
+                raise ParseError(
+                    f"undeclared type {t} of parameter {v} in action {sch.name}")
         declared = {v for v, _ in sch.params}
-        for atom in itertools.chain(sch.pre, sch.add, sch.delete):
+        atoms = list(itertools.chain(sch.pre, sch.add, sch.delete))
+        for atom in atoms:
             if atom[0] not in lifted.predicates:
                 raise ParseError(
                     f"undeclared predicate {atom[0]} in action {sch.name}")
             if len(atom) - 1 != len(lifted.predicates[atom[0]]):
                 raise ParseError(
                     f"arity mismatch for {atom[0]} in action {sch.name}")
-            for term in atom[1:]:
-                if term.startswith("?") and term not in declared:
+        for term in itertools.chain(*(atom[1:] for atom in atoms),
+                                    *sch.eq, *sch.neq):
+            if term.startswith("?"):
+                if term not in declared:
                     raise ParseError(
                         f"free variable {term} in action {sch.name}")
+            elif term not in lifted.objects:
+                raise ParseError(f"unknown constant {term} in action {sch.name}")
     for atom in itertools.chain(lifted.init, lifted.goal):
         if atom[0] not in lifted.predicates:
             raise ParseError(f"undeclared predicate {atom[0]}")

@@ -27,13 +27,16 @@ H_PLUS = HEURISTICS["hplus"]
 
 
 def _tree_test_tasks():
-    """random_task seeds 0-399 and the named families."""
+    """random_task seeds 0-399 and the named families; hanoi discs=3 and
+    random_task(12) are trees whose ancestor conflicts come out in another
+    order when a deleter's facts are visited in ascending id order rather
+    than in the order of its delete set."""
     return ([random_task(seed, max_facts=7, max_actions=8)
-             for seed in range(400)]
+             for seed in range(400)] + [random_task(12)]
             + [generate(GeneratorSpec(domain, params, 0)) for domain, params
                in (("movie", {}), ("road-graph", {}), ("toll-road-graph", {}),
                    ("transport-swap", {}), ("gripper", {"balls": 3}),
-                   ("simple-tsp", {"locations": 5}))])
+                   ("simple-tsp", {"locations": 5}), ("hanoi", {"discs": 3}))])
 
 
 def _root_path(fgt, n):
@@ -43,6 +46,41 @@ def _root_path(fgt, n):
         n = fgt.parents[n]
         path.append(n)
     return path
+
+
+def _tree_by_definition(task):
+    """(kinds, labels, parents, children) of the regression tree built
+    recursively, in pre-order, from the two pruning rules of the ``Fgt``
+    docstring alone."""
+    kinds, labels, parents, children = [], [], [], []
+
+    def node(kind, label, parent):
+        nid = len(kinds)
+        kinds.append(kind)
+        labels.append(label)
+        parents.append(parent)
+        children.append([])
+        if parent is not None:
+            children[parent].append(nid)
+        return nid
+
+    def action(label, parent, facts_above, required_above):
+        nid = node('A', label, parent)
+        pre = task.goal if label is None else task.actions[label].pre
+        # rule 2: a fact some action strictly above requires is not reopened
+        for p in sorted(pre - required_above):
+            fact(p, nid, facts_above, required_above | pre)
+
+    def fact(label, parent, facts_above, required_above):
+        nid = node('F', label, parent)
+        on_path = facts_above | {label}
+        for a in task.actions:
+            # rule 1: no achiever needing a fact that labels the root path
+            if label in a.add and not a.pre & on_path:
+                action(a.id, nid, on_path, required_above)
+
+    action(None, None, frozenset(), frozenset())
+    return kinds, labels, parents, children
 
 
 def _lca_by_ancestor_sets(fgt):
@@ -340,6 +378,31 @@ class TestBuildFgt:
     def test_cap_sets_truncation(self, transport_task):
         fgt = build_fgt(transport_task, node_cap=4)
         assert fgt.truncated
+
+    def test_shape_follows_the_pruning_rules(self):
+        for t in _tree_test_tasks():
+            fgt = build_fgt(t)
+            assert (fgt.kinds, fgt.labels, fgt.parents, fgt.children) == \
+                _tree_by_definition(t), t.name
+            assert not fgt.truncated, t.name
+
+    def test_cap_keeps_a_preorder_prefix(self):
+        for t in _tree_test_tasks():
+            full = build_fgt(t)
+            for k in {1, 2, 10, full.size // 2, full.size - 1, full.size,
+                      full.size + 1}:
+                if k < 1:
+                    continue
+                fgt = build_fgt(t, node_cap=k)
+                n = min(k, full.size)
+                assert fgt.truncated == (full.size > k), (t.name, k)
+                assert (fgt.kinds, fgt.labels, fgt.parents) == \
+                    (full.kinds[:n], full.labels[:n], full.parents[:n]), \
+                    (t.name, k)
+                assert fgt.children == [[c for c in cs if c < n]
+                                        for cs in full.children[:n]], (t.name, k)
+                assert fgt.ancestor_conflicts == \
+                    [c for c in full.ancestor_conflicts if c[0] < n], (t.name, k)
 
     def test_indexes_match_the_tree(self):
         for t in _tree_test_tasks():

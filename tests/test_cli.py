@@ -248,6 +248,8 @@ class TestErrorBoundary:
     status 1 and a single ``error: `` line on stderr, never a traceback."""
 
     BAD = "<broken.pddl>"           # replaced by a file holding broken PDDL
+    FREE = "<free-variable.pddl>"   # gripper whose move compares ?from with
+                                    # an undeclared variable
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=0"],
@@ -261,13 +263,19 @@ class TestErrorBoundary:
         ["taxonomy", "gripper", "--sizes", "0"],
         ["sample", "--domain", "warehouse", "--samples", "5"],
         ["sample", "--domain", "gripper", "--param", "balls=0", "--samples", "5"],
+        ["parse", FREE, str(DATA / "gripper2-problem.pddl")],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
-            "taxonomy-size-0", "sample-unknown-family", "sample-balls-0"])
+            "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
+            "parse-free-variable"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")
-        args = [str(bad) if a == self.BAD else a for a in args]
+        free = tmp_path / "free-variable.pddl"
+        free.write_text((DATA / "gripper2-domain.pddl").read_text().replace(
+            "(not (= ?from ?to))", "(not (= ?from ?zz))"))
+        args = [str(bad) if a == self.BAD else
+                str(free) if a == self.FREE else a for a in args]
         res = runner.invoke(main, args)
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

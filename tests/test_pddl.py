@@ -1,5 +1,6 @@
 """Parser, grounder, and serializer for the PDDL subset."""
 
+import pathlib
 import random
 import re
 
@@ -9,6 +10,8 @@ from plantopo.errors import ParseError, PlantopoError, PreconditionViolated, \
     UnsupportedFeature
 from plantopo.generators import DOMAINS, GeneratorSpec, generate, pddl_texts
 from plantopo.pddl import ground, parse_task, serialize
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 MINI_DOMAIN = """
 (define (domain mini)
@@ -93,6 +96,42 @@ class TestParse:
                   (:init (p k)) (:goal (p k)))"""
         with pytest.raises(ParseError):
             parse_task(dom, prob)
+
+    @pytest.mark.parametrize("old, new", [
+        ("(not (= ?from ?to))", "(not (= ?from ?zz))"),
+        ("(not (= ?from ?to))", "(= ?from ?zz)"),
+        ("(not (= ?from ?to))", "(not (= ?from nowhere))"),
+        ("(and (at-robby ?from)", "(and (at-robby nowhere)"),
+        ("(and (at-robby ?to)", "(and (at-robby nowhere)"),
+        ("?from ?to - room", "?from ?to - rooom"),
+    ], ids=["neq-free-variable", "eq-free-variable", "neq-unknown-constant",
+            "pre-unknown-constant", "add-unknown-constant",
+            "parameter-undeclared-type"])
+    def test_gripper_move_rejects_what_would_ground_wrong(self, old, new):
+        dom, prob = (DATA / "gripper2-domain.pddl").read_text(), \
+            (DATA / "gripper2-problem.pddl").read_text()
+        assert old in dom
+        with pytest.raises(ParseError):
+            parse_task(dom.replace(old, new, 1), prob)
+
+    def test_object_of_undeclared_type_is_a_parse_error(self):
+        dom, prob = (DATA / "gripper2-domain.pddl").read_text(), \
+            (DATA / "gripper2-problem.pddl").read_text()
+        with pytest.raises(ParseError):
+            parse_task(dom, prob.replace("left right - gripper",
+                                         "left right - grippr"))
+
+    def test_declared_constants_and_parent_types_are_accepted(self):
+        dom = """(define (domain d) (:requirements :strips :typing :equality)
+                 (:types car - vehicle place) (:constants depot - place)
+                 (:predicates (at ?v - vehicle ?p - place))
+                 (:action park :parameters (?v - vehicle ?p - place)
+                  :precondition (and (at ?v ?p) (not (= ?p depot)))
+                  :effect (and (at ?v depot) (not (at ?v ?p)))))"""
+        prob = """(define (problem q) (:domain d) (:objects c - car x - place)
+                  (:init (at c x)) (:goal (at c depot)))"""
+        task = ground(parse_task(dom, prob))
+        assert [a.name for a in task.actions] == ["park(c,x)"]
 
     def test_mutated_text_raises_only_plantopo_errors(self):
         # seeded token-level mutations of a real domain and problem
