@@ -11,6 +11,7 @@ UnsupportedFeature.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, UnsupportedFeature
@@ -31,37 +32,21 @@ class _Tok:
     col: int
 
 
+# a newline, a comment, a parenthesis or a symbol; whitespace is skipped
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^\s();]+")
+
+
 def _tokenize(text):
+    """Lowercased tokens with their 1-based line and column."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c in "()":
-            toks.append(_Tok(c, line, col))
-            i += 1
-            col += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "();":
-            j += 1
-        toks.append(_Tok(text[i:j].lower(), line, col))
-        col += j - i
-        i = j
+            line_start = m.end()
+        elif tok[0] != ";":
+            toks.append(_Tok(tok.lower(), line, m.start() - line_start + 1))
     return toks
 
 
@@ -197,44 +182,44 @@ def _check_supported(sexpr):
             f"'{head}' is outside the supported subset (line {tok.line})")
 
 
-def _parse_condition(sexpr, allow_equality):
-    """Parse a precondition into (atoms, eq, neq)."""
-    atoms, eqs, neqs = [], [], []
+def _conjuncts(sexpr):
+    """The items of a condition or effect, nested (and ...) flattened in
+    order on an explicit stack; rejects unsupported constructs."""
     pending = [] if sexpr is None else [sexpr]
     while pending:
         item = pending.pop()
         _check_supported(item)
-        head = _head(item)
-        if head == "and":
+        if _head(item) == "and":
             pending.extend(reversed(item[1:]))
+        else:
+            yield item
+
+
+def _parse_condition(sexpr, allow_equality):
+    """Parse a precondition into (atoms, eq, neq)."""
+    atoms, eqs, neqs = [], [], []
+    for item in _conjuncts(sexpr):
+        head = _head(item)
+        if head == "not" and len(item) == 2 and _head(item[1]) == "=":
+            item, pairs = item[1], neqs
         elif head == "not":
-            if len(item) == 2 and _head(item[1]) == "=":
-                if not allow_equality:
-                    raise UnsupportedFeature(
-                        "equality used without the :equality requirement")
-                neqs.append(_pair_of(item[1]))
-            else:
-                raise UnsupportedFeature("negative preconditions are not supported")
+            raise UnsupportedFeature("negative preconditions are not supported")
         elif head == "=":
-            if not allow_equality:
-                raise UnsupportedFeature(
-                    "equality used without the :equality requirement")
-            eqs.append(_pair_of(item))
+            pairs = eqs
         else:
             atoms.append(_atom_of(item))
+            continue
+        if not allow_equality:
+            raise UnsupportedFeature(
+                "equality used without the :equality requirement")
+        pairs.append(_pair_of(item))
     return atoms, eqs, neqs
 
 
 def _parse_effect(sexpr):
     adds, dels = [], []
-    pending = [sexpr]
-    while pending:
-        item = pending.pop()
-        _check_supported(item)
-        head = _head(item)
-        if head == "and":
-            pending.extend(reversed(item[1:]))
-        elif head == "not":
+    for item in _conjuncts(sexpr):
+        if _head(item) == "not":
             if len(item) != 2:
                 raise ParseError("malformed (not ...) effect")
             _check_supported(item[1])
@@ -369,7 +354,8 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
 
 def _validate_lifted(lifted: LiftedTask):
     """Reject what would otherwise ground silently wrong: a type cycle, an
-    undeclared type, predicate, variable or constant, an arity mismatch."""
+    undeclared type, predicate, variable or constant, an arity mismatch, or
+    a term whose type is not its predicate parameter's type or below it."""
     for t in lifted.types:
         chain = set()
         while t != "object":
@@ -378,39 +364,43 @@ def _validate_lifted(lifted: LiftedTask):
             chain.add(t)
             t = lifted.types.get(t, "object")
     known_types = {"object", *lifted.types, *lifted.types.values()}
-    for name, t in lifted.objects.items():
+    typed = [(f"object {name}", t) for name, t in lifted.objects.items()]
+    typed += [(f"parameter {v} of predicate {p}", t)
+              for p, params in lifted.predicates.items() for v, t in params]
+    typed += [(f"parameter {v} in action {sch.name}", t)
+              for sch in lifted.schemata for v, t in sch.params]
+    for what, t in typed:
         if t not in known_types:
-            raise ParseError(f"undeclared type {t} of object {name}")
-    for sch in lifted.schemata:
-        for v, t in sch.params:
-            if t not in known_types:
-                raise ParseError(
-                    f"undeclared type {t} of parameter {v} in action {sch.name}")
-        declared = {v for v, _ in sch.params}
-        atoms = list(itertools.chain(sch.pre, sch.add, sch.delete))
+            raise ParseError(f"undeclared type {t} of {what}")
+
+    def term_type(term, params, where):
+        if term.startswith("?"):
+            if term not in params:
+                raise ParseError(f"free variable {term} in {where}")
+            return params[term]
+        if term not in lifted.objects:
+            raise ParseError(f"unknown object {term} in {where}")
+        return lifted.objects[term]
+
+    # :init and :goal bind no variables
+    scopes = [(f"action {sch.name}", dict(sch.params),
+               sch.pre + sch.add + sch.delete, sch.eq + sch.neq)
+              for sch in lifted.schemata]
+    scopes += [("init", {}, lifted.init, []), ("goal", {}, lifted.goal, [])]
+    for where, params, atoms, pairs in scopes:
         for atom in atoms:
             if atom[0] not in lifted.predicates:
-                raise ParseError(
-                    f"undeclared predicate {atom[0]} in action {sch.name}")
-            if len(atom) - 1 != len(lifted.predicates[atom[0]]):
-                raise ParseError(
-                    f"arity mismatch for {atom[0]} in action {sch.name}")
-        for term in itertools.chain(*(atom[1:] for atom in atoms),
-                                    *sch.eq, *sch.neq):
-            if term.startswith("?"):
-                if term not in declared:
-                    raise ParseError(
-                        f"free variable {term} in action {sch.name}")
-            elif term not in lifted.objects:
-                raise ParseError(f"unknown constant {term} in action {sch.name}")
-    for atom in itertools.chain(lifted.init, lifted.goal):
-        if atom[0] not in lifted.predicates:
-            raise ParseError(f"undeclared predicate {atom[0]}")
-        if len(atom) - 1 != len(lifted.predicates[atom[0]]):
-            raise ParseError(f"arity mismatch for init/goal atom {atom[0]}")
-        for term in atom[1:]:
-            if term not in lifted.objects:
-                raise ParseError(f"unknown object {term} in {atom}")
+                raise ParseError(f"undeclared predicate {atom[0]} in {where}")
+            wanted = [t for _, t in lifted.predicates[atom[0]]]
+            if len(atom) - 1 != len(wanted):
+                raise ParseError(f"arity mismatch for {atom[0]} in {where}")
+            for term, want in zip(atom[1:], wanted):
+                t = term_type(term, params, where)
+                if not _type_matches(lifted, t, want):
+                    raise ParseError(f"{term} of type {t} is not a {want} "
+                                     f"in ({' '.join(atom)}) of {where}")
+        for term in itertools.chain(*pairs):
+            term_type(term, params, where)
 
 
 # ---------------------------------------------------------------------------

@@ -753,6 +753,12 @@ class TestRpIrrelevantDeletes:
         with pytest.raises(PreconditionViolated):
             validate_rp_irrelevant_deletes(t, frozenset(t.init), unload)
 
+    def test_state_without_relaxed_plan_rejected(self):
+        t = make_task(["a", "b", "g"], [("x", ["a"], ["b"], ["a"])],
+                      ["a"], ["g"])
+        with pytest.raises(PreconditionViolated, match="no relaxed solution"):
+            validate_rp_irrelevant_deletes(t, frozenset(t.init), t.actions[0])
+
 
 # ---------------------------------------------------------------------------
 # Verdicts as executable theorems

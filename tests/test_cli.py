@@ -10,7 +10,12 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from plantopo.cli import main
+from plantopo.analysis import VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, \
+    VERDICT_NO_LOCAL_MINIMA
+from plantopo.cli import TaxonomyCard, emit_report, main
+from plantopo.errors import PlantopoError
+from plantopo.state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
+    DEAD_END_UNDIRECTED
 
 HERE = pathlib.Path(__file__).parent
 ROOT = HERE.parent
@@ -242,6 +247,24 @@ class TestTaxonomy:
         assert res.exit_code == 1
         assert res.output.startswith("error: ")
 
+    @pytest.mark.parametrize("verdict, observed", [
+        ({"lemma1": True}, {"dead_end_class": DEAD_END_HARMLESS}),
+        ({"lemma2": True}, {"dead_end_class": DEAD_END_RECOGNIZED}),
+        ({"no_local_minima": VERDICT_NO_LOCAL_MINIMA},
+         {"local_minimum_seen": True}),
+        ({"interaction_free": VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS},
+         {"local_minimum_seen": True}),
+    ], ids=["invertibility", "at-least-invertibility", "no-local-minima",
+            "interaction-freeness"])
+    def test_contradictory_card_is_refused(self, verdict, observed):
+        fields = {"dead_end_class": DEAD_END_UNDIRECTED, **verdict}
+        card = TaxonomyCard("d", "n", [1], mlmed=0, mbed=0, **fields)
+        emit_report(card)
+        card = TaxonomyCard("d", "n", [1], mlmed=0, mbed=0,
+                            **{**fields, **observed})
+        with pytest.raises(PlantopoError, match="taxonomy inconsistency"):
+            emit_report(card)
+
 
 class TestErrorBoundary:
     """Every domain error leaves through the one boundary in ``main``: exit
@@ -250,6 +273,8 @@ class TestErrorBoundary:
     BAD = "<broken.pddl>"           # replaced by a file holding broken PDDL
     FREE = "<free-variable.pddl>"   # gripper whose move compares ?from with
                                     # an undeclared variable
+    ILL_TYPED = "<ill-typed.pddl>"  # gripper problem whose robot starts at
+                                    # a ball
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=0"],
@@ -264,18 +289,23 @@ class TestErrorBoundary:
         ["sample", "--domain", "warehouse", "--samples", "5"],
         ["sample", "--domain", "gripper", "--param", "balls=0", "--samples", "5"],
         ["parse", FREE, str(DATA / "gripper2-problem.pddl")],
+        ["parse", str(DATA / "gripper2-domain.pddl"), ILL_TYPED],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
             "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
-            "parse-free-variable"])
+            "parse-free-variable", "parse-ill-typed-init"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")
         free = tmp_path / "free-variable.pddl"
         free.write_text((DATA / "gripper2-domain.pddl").read_text().replace(
             "(not (= ?from ?to))", "(not (= ?from ?zz))"))
+        ill_typed = tmp_path / "ill-typed.pddl"
+        ill_typed.write_text((DATA / "gripper2-problem.pddl").read_text()
+                             .replace("(at-robby rooma)", "(at-robby ball1)"))
         args = [str(bad) if a == self.BAD else
-                str(free) if a == self.FREE else a for a in args]
+                str(free) if a == self.FREE else
+                str(ill_typed) if a == self.ILL_TYPED else a for a in args]
         res = runner.invoke(main, args)
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

@@ -56,6 +56,28 @@ class TestParse:
         lifted = parse_task(MINI_DOMAIN.upper(), MINI_PROBLEM.upper())
         assert len(lifted.schemata) == 1
 
+    def test_comments_line_ends_tabs_and_case_parse_like_clean_text(self):
+        def noisy(text):
+            lines = text.strip().splitlines()
+            lines = [line.replace("  ", "\t").upper() + " ; inline (comment"
+                     for line in lines]
+            return "; full-line comment )\r\n" + "\r\n".join(lines) + \
+                "\r\n\t; comment at end of file"
+
+        dom, prob = (DATA / "gripper2-domain.pddl").read_text(), \
+            (DATA / "gripper2-problem.pddl").read_text()
+        assert parse_task(noisy(dom), noisy(prob)) == parse_task(dom, prob)
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("\n  ) (define (domain d))", "unexpected '\\)'", 2, 3),
+        ("(define (domain d))\n\t; comment\n  x", "trailing input", 3, 3),
+        ("(define\n (domain d)\n  (:predicates (p)", "unbalanced", 3, 3),
+    ], ids=["unexpected-close", "trailing-input", "unbalanced-open"])
+    def test_syntax_error_position(self, text, message, line, column):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_task(text, MINI_PROBLEM)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     @pytest.mark.parametrize("old, new", [
         ("(domain mini)", "(domain (x))"),
         ("  (:action go", "  (:action)\n  (:action go"),
@@ -114,6 +136,22 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_task(dom.replace(old, new, 1), prob)
 
+    @pytest.mark.parametrize("part, old, new", [
+        ("domain", "(at-robby ?r - room)", "(at-robby ?r - rooom)"),
+        ("problem", "(at-robby rooma)", "(at-robby ball1)"),
+        ("problem", "(at ball1 roomb)", "(at ball1 left)"),
+        ("domain", ":parameters (?b - ball ?r - room",
+         ":parameters (?b - object ?r - room"),
+    ], ids=["predicate-undeclared-type", "init-ill-typed", "goal-ill-typed",
+            "action-parameter-wider-than-predicate"])
+    def test_gripper_ill_typed_atom_is_a_parse_error(self, part, old, new):
+        texts = {"domain": (DATA / "gripper2-domain.pddl").read_text(),
+                 "problem": (DATA / "gripper2-problem.pddl").read_text()}
+        assert old in texts[part]
+        texts[part] = texts[part].replace(old, new, 1)
+        with pytest.raises(ParseError):
+            parse_task(texts["domain"], texts["problem"])
+
     def test_object_of_undeclared_type_is_a_parse_error(self):
         dom, prob = (DATA / "gripper2-domain.pddl").read_text(), \
             (DATA / "gripper2-problem.pddl").read_text()
@@ -125,7 +163,7 @@ class TestParse:
         dom = """(define (domain d) (:requirements :strips :typing :equality)
                  (:types car - vehicle place) (:constants depot - place)
                  (:predicates (at ?v - vehicle ?p - place))
-                 (:action park :parameters (?v - vehicle ?p - place)
+                 (:action park :parameters (?v - car ?p - place)
                   :precondition (and (at ?v ?p) (not (= ?p depot)))
                   :effect (and (at ?v depot) (not (at ?v ?p)))))"""
         prob = """(define (problem q) (:domain d) (:objects c - car x - place)
@@ -165,6 +203,13 @@ class TestGround:
         # static pruning: only go(a,b) survives (linked holds for (a,b) only)
         assert [a.name for a in task.actions] == ["go(a,b)"]
 
+    def test_equality_keeps_only_equal_bindings(self):
+        dom = MINI_DOMAIN.replace("(:requirements :strips)",
+                                  "(:requirements :strips :equality)").replace(
+            "(linked ?from ?to))", "(= ?from ?to))")
+        task = ground(parse_task(dom, MINI_PROBLEM))
+        assert [a.name for a in task.actions] == ["go(a,a)", "go(b,b)"]
+
     def test_transport_action_count(self, transport_task):
         kinds = {}
         for a in transport_task.actions:
@@ -197,13 +242,15 @@ class TestGround:
 class TestRoundTrip:
     @pytest.mark.parametrize("domain", sorted(DOMAINS))
     def test_serialize_reparse_reground(self, domain):
+        def shape(task):
+            return ([f.name for f in task.facts],
+                    [(a.name, a.pre, a.add, a.delete) for a in task.actions],
+                    task.init, task.goal)
+
         spec = GeneratorSpec(domain, {}, 5)
         task = generate(spec)
-        dom, prob = pddl_texts(spec)
-        again = ground(parse_task(dom, prob))
-        assert [f.name for f in again.facts] == [f.name for f in task.facts]
-        assert [a.name for a in again.actions] == [a.name for a in task.actions]
-        assert again.init == task.init and again.goal == task.goal
+        again = ground(parse_task(*serialize(parse_task(*pddl_texts(spec)))))
+        assert shape(again) == shape(task)
 
     def test_lifted_serializer_round_trips(self):
         lifted = parse_task(MINI_DOMAIN, MINI_PROBLEM)

@@ -104,6 +104,15 @@ class TestSampledExitDistance:
         assert H_PLUS(t, s) == 5
         assert sampled_exit_distance(t, s, H_PLUS) == 0
 
+    def test_no_exit_at_the_level_is_infinite(self):
+        # under goal count the start (1 goal open) is left only upward, via
+        # b (2 open), so no state at level 1 has a better successor
+        t = make_task(["a", "b", "g1", "g2"], [
+            ("swap", ["g1", "a"], ["b"], ["g1", "a"]),
+            ("finish", ["b"], ["g1", "g2"], [])], ["g1", "a"], ["g1", "g2"])
+        assert sampled_exit_distance(t, frozenset(t.init),
+                                     HEURISTICS["goalcount"]) == INF
+
     def test_goal_level_rejected(self, transport_task):
         t = transport_task
         goalish = frozenset(t.goal) | frozenset(t.init)

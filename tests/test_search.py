@@ -5,7 +5,7 @@ import pytest
 from plantopo.analysis import action_flags, compute_mutexes
 from plantopo.errors import PreconditionViolated
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS
+from plantopo.heuristics import HEURISTICS, INF
 from plantopo.search import OUTCOME_EXHAUSTED, OUTCOME_FAILED, \
     OUTCOME_SOLVED, enforced_hill_climbing, invert_and_replay
 from plantopo.task_model import apply_sequence, make_task, validate_plan
@@ -74,6 +74,26 @@ class TestEnforcedHillClimbing:
         res = enforced_hill_climbing(t, H_PLUS)
         assert res.outcome == OUTCOME_FAILED
         assert res.best_state is not None
+
+    def test_infinite_successor_is_pruned(self):
+        # d and e are dead ends; the goal lies past a plateau of value 1
+        t = make_task(["a", "b", "c", "d", "e", "g"], [
+            ("trap", ["a"], ["d"], ["a"]), ("trap-on", ["d"], ["e"], ["d"]),
+            ("step", ["a"], ["b"], ["a"]), ("step-on", ["b"], ["c"], ["b"]),
+            ("finish", ["c"], ["g"], ["c"])], ["a"], ["g"])
+        dead = {t.fact_by_name["d"], t.fact_by_name["e"]}
+        seen = []
+
+        def h(task, s):
+            seen.append(s)
+            return 0 if task.goal <= s else INF if s & dead else 1
+
+        res = enforced_hill_climbing(t, h)
+        assert res.outcome == OUTCOME_SOLVED
+        assert [t.actions[a].name for a in res.plan] == \
+            ["step", "step-on", "finish"]
+        assert frozenset({t.fact_by_name["d"]}) in seen
+        assert frozenset({t.fact_by_name["e"]}) not in seen
 
 
 class TestInvertAndReplay:
