@@ -30,7 +30,6 @@ VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS = "HplusEqualsGdViaRepairs"
 VERDICT_NO_LOCAL_MINIMA = "NoLocalMinima"
 
 DEFAULT_NODE_CAP = 1_000_000
-CONFLICT_DETAIL_CAP = 50_000      # largest tree analyze_task lists conflicts of
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ class AnalysisReport:
     prop2: bool                       # every fact has at most one achiever
     prop3: bool                       # single goal fact, single preconditions
     prop4: bool                       # prop3 plus deletes within preconditions
-    conflicts: list | None = None     # None when the tree was too large
+    conflicts: list | None = None     # None when the tree was truncated
     interaction_free_verdict: str | None = None
     no_local_minima_verdict: str | None = None
 
@@ -222,14 +221,14 @@ class Fgt:
     Two pruning rules keep the tree finite: an achiever is dropped when one
     of its preconditions already labels a fact node on the root path, and a
     precondition fact is dropped when an action strictly above already
-    requires it.
+    requires it.  Nodes are numbered in pre-order, so the subtree of n is
+    the id range ``n .. ends[n] - 1``.
     """
     kinds: list                       # 'A' or 'F' per node
     labels: list                      # action id / fact id; None for the root
     parents: list
-    children: list
     truncated: bool
-    depths: list                      # distance from the root per node
+    ends: list                        # 1 + the last id in each node's subtree
     nodes_of: dict                    # (kind, label) -> node ids but the root
     ancestor_conflicts: list          # (deleter, ancestor, fact), depth-first
 
@@ -237,16 +236,19 @@ class Fgt:
     def size(self):
         return len(self.kinds)
 
+    @property
+    def children(self):
+        """Child ids per node in id order, derived from ``parents``."""
+        children = [[] for _ in self.parents]
+        for nid in range(1, self.size):
+            children[self.parents[nid]].append(nid)
+        return children
+
     def lca(self, u, v):
-        """Lowest common ancestor of nodes u and v."""
-        depths, parents = self.depths, self.parents
-        while depths[u] > depths[v]:
+        """Lowest common ancestor: the nearest node from u up whose subtree holds v."""
+        ends, parents = self.ends, self.parents
+        while not u <= v < ends[u]:
             u = parents[u]
-        while depths[v] > depths[u]:
-            v = parents[v]
-        while u != v:
-            u = parents[u]
-            v = parents[v]
         return u
 
 
@@ -284,7 +286,7 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
     achievers = _cutter(task).achievers
     pre_mask, add_mask, del_mask = _masks(task)
     goal = len(task.actions)
-    kinds, labels, parents, children = ['A'], [None], [None], [[]]
+    kinds, labels, parents = ['A'], [None], [None]
     ancestor_conflicts = []
     # (node, child labels left, path facts, required facts, vulnerable facts:
     # required above and not re-added since)
@@ -303,8 +305,6 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
             break
         labels.append(label)
         parents.append(parent)
-        children.append([])
-        children[parent].append(nid)
         if kinds[parent] == 'A':
             kinds.append('F')
             below = on_path | (1 << label)
@@ -332,14 +332,17 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
         pm = pre_mask[label]
         stack.append((nid, _bits(pm & ~pre_path), on_path,      # rule 2
                       pre_path | pm, (vulnerable & ~add_mask[label]) | pm))
-    # indexed in one pass over the finished tree: growing two more per-node
-    # lists alongside the tree raised the process's peak RSS
-    depths = [0] * len(kinds)
+    # indexed after the walk: growing more per-node lists alongside the tree
+    # raised the process's peak RSS
     nodes_of = {}
     for nid in range(1, len(kinds)):
-        depths[nid] = depths[parents[nid]] + 1
         nodes_of.setdefault((kinds[nid], labels[nid]), []).append(nid)
-    return Fgt(kinds, labels, parents, children, truncated, depths, nodes_of,
+    ends = list(range(1, len(kinds) + 1))
+    for nid in range(len(kinds) - 1, 0, -1):     # each subtree before its parent
+        parent = parents[nid]
+        if ends[parent] < ends[nid]:
+            ends[parent] = ends[nid]
+    return Fgt(kinds, labels, parents, truncated, ends, nodes_of,
                ancestor_conflicts)
 
 
@@ -575,7 +578,7 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
     if fgt.truncated:
         return UNKNOWN
     deletion_pairs = _deletion_pairs(task)
-    kinds, lca, nodes_of = fgt.kinds, fgt.lca, fgt.nodes_of
+    kinds, lca, nodes_of, ends = fgt.kinds, fgt.lca, fgt.nodes_of, fgt.ends
 
     def compatible_leaf(nf, conflict_nodes):
         for n in conflict_nodes:
@@ -589,14 +592,9 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
     for a in task.actions:
         if not a.delete:
             continue
-        excluded = [False] * fgt.size
+        excluded = bytearray(fgt.size)
         for nid in nodes_of.get(('A', a.id), ()):
-            stack = [nid]
-            while stack:
-                v = stack.pop()
-                if not excluded[v]:
-                    excluded[v] = True
-                    stack.extend(fgt.children[v])
+            excluded[nid:ends[nid]] = b"\1" * (ends[nid] - nid)
         candidates = [nid for f in sorted(a.delete)
                       for nid in nodes_of.get(('F', f), ()) if not excluded[nid]]
         if not candidates:
@@ -609,11 +607,10 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
 
 def analyze_task(task: Task, cap: int = DEFAULT_NODE_CAP) -> AnalysisReport:
     """Full static report; the node-level conflict list is skipped (None)
-    when the regression tree is truncated or larger than
-    ``CONFLICT_DETAIL_CAP`` nodes, too large to pair-scan."""
+    when the regression tree is truncated at ``cap`` nodes."""
     report = check_lemmas(task)
     fgt = build_fgt(task, cap)
-    if not fgt.truncated and fgt.size <= CONFLICT_DETAIL_CAP:
+    if not fgt.truncated:
         report.conflicts = find_conflicts(fgt, task)
     report.interaction_free_verdict = interaction_free_verdict(task, cap)
     report.no_local_minima_verdict = no_local_minima_criterion(

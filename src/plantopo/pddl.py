@@ -142,7 +142,8 @@ class LiftedTask:
     requirements: list
     types: dict             # type -> parent type ("object" is the root)
     predicates: dict        # name -> list of (param, type)
-    objects: dict           # name -> type
+    constants: dict         # the domain's objects, name -> type
+    objects: dict           # the problem's objects, name -> type
     schemata: list
     init: list              # ground atoms
     goal: list              # ground atoms
@@ -301,7 +302,7 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
             raise ParseError(f"unknown domain section {head}")
 
     problem_name = None
-    objects = dict(constants)
+    objects = {}
     init = []
     goal = []
     for section in prob[1:]:
@@ -338,6 +339,7 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
         requirements=requirements,
         types=types,
         predicates=predicates,
+        constants=constants,
         objects=objects,
         schemata=schemata,
         init=init,
@@ -354,8 +356,10 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
 
 def _validate_lifted(lifted: LiftedTask):
     """Reject what would otherwise ground silently wrong: a type cycle, an
-    undeclared type, predicate, variable or constant, an arity mismatch, or
-    a term whose type is not its predicate parameter's type or below it."""
+    undeclared type, predicate, variable or constant, an arity mismatch, a
+    term whose type is not its predicate parameter's type or below it, or
+    an object or constant name with a comma (ground atom names join their
+    arguments with commas, so objects a,b c and a b,c would name one fact)."""
     for t in lifted.types:
         chain = set()
         while t != "object":
@@ -364,7 +368,11 @@ def _validate_lifted(lifted: LiftedTask):
             chain.add(t)
             t = lifted.types.get(t, "object")
     known_types = {"object", *lifted.types, *lifted.types.values()}
-    typed = [(f"object {name}", t) for name, t in lifted.objects.items()]
+    objects = _universe(lifted)
+    for name in objects:
+        if "," in name:
+            raise ParseError(f"object name {name} contains ','")
+    typed = [(f"object {name}", t) for name, t in objects.items()]
     typed += [(f"parameter {v} of predicate {p}", t)
               for p, params in lifted.predicates.items() for v, t in params]
     typed += [(f"parameter {v} in action {sch.name}", t)
@@ -378,9 +386,9 @@ def _validate_lifted(lifted: LiftedTask):
             if term not in params:
                 raise ParseError(f"free variable {term} in {where}")
             return params[term]
-        if term not in lifted.objects:
+        if term not in objects:
             raise ParseError(f"unknown object {term} in {where}")
-        return lifted.objects[term]
+        return objects[term]
 
     # :init and :goal bind no variables
     scopes = [(f"action {sch.name}", dict(sch.params),
@@ -416,8 +424,13 @@ def _type_matches(lifted, obj_type, wanted):
         t = lifted.types.get(t, "object")
 
 
+def _universe(lifted):
+    """The domain's constants and the problem's objects, name -> type."""
+    return {**lifted.constants, **lifted.objects}
+
+
 def _objects_of_type(lifted, wanted):
-    return sorted(o for o, t in lifted.objects.items()
+    return sorted(o for o, t in _universe(lifted).items()
                   if wanted == "object" or _type_matches(lifted, t, wanted))
 
 
@@ -514,6 +527,8 @@ def serialize(lifted: LiftedTask):
     if lifted.types:
         out.append("  (:types " + " ".join(
             f"{t} - {p}" for t, p in sorted(lifted.types.items())) + ")")
+    if lifted.constants:
+        out.append("  (:constants " + typed(sorted(lifted.constants.items())) + ")")
     preds = []
     for pname, params in sorted(lifted.predicates.items()):
         preds.append("(" + " ".join([pname] + [f"{v} - {t}" for v, t in params]) + ")")

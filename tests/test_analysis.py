@@ -401,14 +401,19 @@ class TestBuildFgt:
                     (t.name, k)
                 assert fgt.children == [[c for c in cs if c < n]
                                         for cs in full.children[:n]], (t.name, k)
+                assert fgt.ends == [min(e, n) for e in full.ends[:n]], (t.name, k)
                 assert fgt.ancestor_conflicts == \
                     [c for c in full.ancestor_conflicts if c[0] < n], (t.name, k)
 
     def test_indexes_match_the_tree(self):
         for t in _tree_test_tasks():
             fgt = build_fgt(t)
-            assert fgt.depths == [len(_root_path(fgt, n)) - 1
-                                  for n in range(fgt.size)], t.name
+            # each subtree is the id range n .. ends[n] - 1
+            ends = list(range(1, fgt.size + 1))
+            for m in range(fgt.size):
+                for n in _root_path(fgt, m):
+                    ends[n] = max(ends[n], m + 1)
+            assert fgt.ends == ends, t.name
             assert fgt.nodes_of == _nodes_by_label(fgt), t.name
             assert fgt.ancestor_conflicts == \
                 _ancestor_conflicts_by_paths(fgt, t), t.name
@@ -606,6 +611,14 @@ class TestAnalyzeTask:
         assert rep.interaction_free_verdict == UNKNOWN
         assert rep.no_local_minima_verdict == UNKNOWN
 
+    def test_lists_the_conflicts_of_any_complete_tree(self):
+        # 78,277 nodes, under the command line's default --fgt-cap
+        t = generate(GeneratorSpec("blocksworld-no-arm", {"blocks": 5}, 0))
+        fgt = build_fgt(t, 100_000)
+        assert fgt.size > 50_000 and not fgt.truncated
+        rep = analyze_task(t, 100_000)
+        assert rep.conflicts == find_conflicts(fgt, t) and rep.conflicts
+
     @pytest.mark.parametrize("family,params", [
         ("movie", {}), ("toll-road-graph", {}), ("simple-tsp", {"locations": 5}),
         ("logistics", {"cities": 1, "size": 3, "packages": 2}),
@@ -658,7 +671,8 @@ class TestLongChain:
         assert sys.getrecursionlimit() < 4000
         fgt = build_fgt(t)
         assert fgt.size == 4002 and not fgt.truncated
-        assert fgt.depths[-1] == 4001
+        # one chain: every node's subtree runs to the last node
+        assert fgt.ends == [fgt.size] * fgt.size
         assert fgt.ancestor_conflicts == []
         assert interaction_free_verdict(t) == VERDICT_HPLUS_EQUALS_GD
 

@@ -10,8 +10,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from plantopo.analysis import VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, \
-    VERDICT_NO_LOCAL_MINIMA
+from plantopo import cli
+from plantopo.analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
+    VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
+    interaction_free_verdict
 from plantopo.cli import TaxonomyCard, emit_report, main
 from plantopo.errors import PlantopoError
 from plantopo.state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
@@ -218,6 +220,13 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert "not respected: putdown(c)" in res.output
 
+    def test_with_space_reports_all_respected(self, runner):
+        res = runner.invoke(main, ["analyze"] + task_args("gripper2")
+                            + ["--with-space"])
+        assert res.exit_code == 0
+        assert res.output.endswith("states enumerated: 28\n"
+                                   "all actions respected by the relaxation\n")
+
     def test_tiny_cap_skips_conflicts(self, runner):
         res = runner.invoke(main, ["analyze"] + task_args("transport")
                             + ["--fgt-cap", "4"])
@@ -247,6 +256,22 @@ class TestTaxonomy:
         assert res.exit_code == 1
         assert res.output.startswith("error: ")
 
+    def test_card_combines_the_sizes(self, runner, monkeypatch):
+        # blocksworld-arm reads HplusEqualsGd at size 1 and Unknown at size
+        # 2, and size 3 has a local minimum
+        verdicts, cards = [], []
+        monkeypatch.setattr(cli, "interaction_free_verdict", lambda *a: (
+            verdicts.append(interaction_free_verdict(*a)) or verdicts[-1]))
+        monkeypatch.setattr(cli, "emit_report", lambda card, fmt: (
+            cards.append(card) or emit_report(card, fmt)))
+        res = runner.invoke(main, ["taxonomy", "blocksworld-arm",
+                                   "--sizes", "1..3"])
+        assert res.exit_code == 0, res.output
+        assert verdicts[:2] == [VERDICT_HPLUS_EQUALS_GD, UNKNOWN]
+        assert [m for _, _, m, _ in cards[0].per_size] == [0, 0, 4]
+        assert cards[0].interaction_free == UNKNOWN
+        assert cards[0].local_minimum_seen
+
     @pytest.mark.parametrize("verdict, observed", [
         ({"lemma1": True}, {"dead_end_class": DEAD_END_HARMLESS}),
         ({"lemma2": True}, {"dead_end_class": DEAD_END_RECOGNIZED}),
@@ -275,6 +300,8 @@ class TestErrorBoundary:
                                     # an undeclared variable
     ILL_TYPED = "<ill-typed.pddl>"  # gripper problem whose robot starts at
                                     # a ball
+    COMMA = "<comma.pddl>"          # gripper problem with objects x,y z and
+                                    # x y,z: both would name at(x,y,z)
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=0"],
@@ -290,10 +317,12 @@ class TestErrorBoundary:
         ["sample", "--domain", "gripper", "--param", "balls=0", "--samples", "5"],
         ["parse", FREE, str(DATA / "gripper2-problem.pddl")],
         ["parse", str(DATA / "gripper2-domain.pddl"), ILL_TYPED],
+        ["parse", str(DATA / "gripper2-domain.pddl"), COMMA],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
             "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
-            "parse-free-variable", "parse-ill-typed-init"])
+            "parse-free-variable", "parse-ill-typed-init",
+            "parse-comma-in-object-name"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")
@@ -303,9 +332,14 @@ class TestErrorBoundary:
         ill_typed = tmp_path / "ill-typed.pddl"
         ill_typed.write_text((DATA / "gripper2-problem.pddl").read_text()
                              .replace("(at-robby rooma)", "(at-robby ball1)"))
+        comma = tmp_path / "comma.pddl"
+        comma.write_text((DATA / "gripper2-problem.pddl").read_text().replace(
+            "rooma roomb - room ball1 ball2 - ball",
+            "rooma roomb y,z z - room ball1 ball2 x x,y - ball"))
         args = [str(bad) if a == self.BAD else
                 str(free) if a == self.FREE else
-                str(ill_typed) if a == self.ILL_TYPED else a for a in args]
+                str(ill_typed) if a == self.ILL_TYPED else
+                str(comma) if a == self.COMMA else a for a in args]
         res = runner.invoke(main, args)
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

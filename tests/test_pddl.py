@@ -30,6 +30,9 @@ MINI_PROBLEM = """
   (:goal (at b)))
 """
 
+EQ_DOMAIN = MINI_DOMAIN.replace("(:requirements :strips)",
+                                "(:requirements :strips :equality)")
+
 
 class TestParse:
     def test_minimal_domain(self):
@@ -171,6 +174,43 @@ class TestParse:
         task = ground(parse_task(dom, prob))
         assert [a.name for a in task.actions] == ["park(c,x)"]
 
+    @pytest.mark.parametrize("domain, problem, error, message", [
+        ("; a comment and nothing else", MINI_PROBLEM, ParseError,
+         "unexpected end of input"),
+        (EQ_DOMAIN.replace("(linked ?from ?to))", "(linked ?from ?to) (= ?from))"),
+         MINI_PROBLEM, ParseError, "takes exactly two terms"),
+        (MINI_DOMAIN.replace(":parameters (?from ?to)", ":parameters ?from"),
+         MINI_PROBLEM, ParseError, "expected a typed parameter list"),
+        (MINI_DOMAIN.replace(":strips)", ":strips :adl)"), MINI_PROBLEM,
+         UnsupportedFeature, "requirement :adl"),
+        (MINI_DOMAIN.replace("(:action", "(:functions (cost)) (:action"),
+         MINI_PROBLEM, UnsupportedFeature, "numeric fluents"),
+        (MINI_DOMAIN.replace("(:action", "(:derived (at ?x) (linked ?x ?x)) (:action"),
+         MINI_PROBLEM, UnsupportedFeature, "derived predicates"),
+        (MINI_DOMAIN.replace(":parameters", ":duration 1 :parameters"),
+         MINI_PROBLEM, UnsupportedFeature, "action keyword :duration"),
+        (MINI_DOMAIN, MINI_PROBLEM.replace("(at a)", "(not (at b)) (at a)"),
+         UnsupportedFeature, "negated init atoms"),
+        (EQ_DOMAIN, MINI_PROBLEM.replace("(:goal (at b))",
+                                         "(:goal (and (at b) (= a a)))"),
+         UnsupportedFeature, "equality in goals"),
+        (MINI_DOMAIN, MINI_PROBLEM.replace(
+            "(:goal (at b))", "(:goal (at b)) (:metric minimize (total-time))"),
+         UnsupportedFeature, "metrics"),
+        # ground atom names join their arguments with commas
+        (MINI_DOMAIN, MINI_PROBLEM.replace("(:objects a b)", "(:objects a b c,d)"),
+         ParseError, "object name c,d contains ','"),
+        (MINI_DOMAIN.replace("(:predicates", "(:constants c,d) (:predicates"),
+         MINI_PROBLEM, ParseError, "object name c,d contains ','"),
+    ], ids=["empty-input", "equality-one-term", "parameters-bare-symbol",
+            "requirement-adl", "functions", "derived", "action-duration",
+            "negated-init-atom", "goal-equality", "metric", "comma-in-object",
+            "comma-in-constant"])
+    def test_rejected_input_names_its_construct(self, domain, problem, error,
+                                                message):
+        with pytest.raises(error, match=message):
+            parse_task(domain, problem)
+
     def test_mutated_text_raises_only_plantopo_errors(self):
         # seeded token-level mutations of a real domain and problem
         dom, prob = pddl_texts(GeneratorSpec("gripper", {"balls": 1}, 0))
@@ -249,8 +289,13 @@ class TestRoundTrip:
 
         spec = GeneratorSpec(domain, {}, 5)
         task = generate(spec)
-        again = ground(parse_task(*serialize(parse_task(*pddl_texts(spec)))))
-        assert shape(again) == shape(task)
+        dom, prob = pddl_texts(spec)
+        dom2, prob2 = serialize(parse_task(dom, prob))
+        assert shape(ground(parse_task(dom2, prob2))) == shape(task)
+        # the domain's constants stay in the domain: each serialized text
+        # also pairs with the other original one
+        assert shape(ground(parse_task(dom2, prob))) == shape(task)
+        assert shape(ground(parse_task(dom, prob2))) == shape(task)
 
     def test_lifted_serializer_round_trips(self):
         lifted = parse_task(MINI_DOMAIN, MINI_PROBLEM)

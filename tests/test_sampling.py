@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from plantopo import sampling
-from plantopo.errors import NoReferencePlan, PreconditionViolated
+from plantopo.errors import NoReferencePlan, PreconditionViolated, \
+    ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, memoized
 from plantopo.sampling import SampleConfig, on_valley, run_experiment, \
@@ -130,6 +131,19 @@ class TestSampledExitDistance:
                     continue
                 assert sampled_exit_distance(t, s, H_PLUS) == \
                     exit_distance(space, sid), domain
+
+
+class TestSearchBudget:
+    """Both searches stop with ResourceExhausted past the state budget; from
+    gripper's initial state under goal count, each sees more than three
+    states before it meets a goal or an exit."""
+
+    @pytest.mark.parametrize("search", [on_valley, sampled_exit_distance])
+    def test_exceeding_the_budget_raises(self, monkeypatch, search):
+        t = generate(GeneratorSpec("gripper", {"balls": 2}, 0))
+        monkeypatch.setattr(sampling, "DEFAULT_MAX_STATES", 3)
+        with pytest.raises(ResourceExhausted, match="exceeded 3 states"):
+            search(t, frozenset(t.init), HEURISTICS["goalcount"])
 
 
 class TestRunExperiment:
