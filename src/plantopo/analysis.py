@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import PreconditionViolated, Truncated
-from .heuristics import INF, _cutter, h_plus, memoized
+from .heuristics import INF, h_plus, memoized
 from .state_space import StateSpace
 from .task_model import GroundAction, Task
 
@@ -69,14 +69,14 @@ def compute_mutexes(task: Task) -> MutexTable:
     deletes, plus its adds.  An action is revisited only when one of its
     precondition facts becomes reachable or gains a partner or, for a
     precondition-free one, when any fact becomes reachable.  The actions
-    needing a fact are read off the task's ``_cutter`` tables.
+    needing a fact are read off the task's ``tables``.
     """
     reachable = set(task.init)
     partners = [set() for _ in task.facts]
     for p in reachable:
         partners[p] = reachable - {p}
-    users = _cutter(task).pre_index             # fact -> ids of actions needing it
-    free = users[len(task.facts)]               # ids of precondition-free actions
+    users = task.tables.pre_index               # fact -> ids of actions needing it
+    free = users[task.tables.top]               # ids of precondition-free actions
     queue = list(range(len(task.actions)))
     queued = [True] * len(queue)
     while queue:
@@ -146,11 +146,10 @@ def action_flags(task: Task, mx: MutexTable) -> list:
     up, not scanned: an inverse by its (add, delete) pair, and an at least
     inverse among the adders of one of a's delete facts (every action when
     a deletes nothing).  An inverse is also an at least inverse.  The
-    adders and needers of each fact are the task's ``_cutter`` tables.
+    adders and needers of each fact are read off the task's ``tables``.
     """
-    cutter = _cutter(task)
-    all_deletes = frozenset().union(*(a.delete for a in task.actions)) \
-        if task.actions else frozenset()
+    tables = task.tables
+    all_deletes = frozenset().union(*(a.delete for a in task.actions))
     by_effects = {}                             # (add, delete) -> actions
     for a in task.actions:
         by_effects.setdefault((a.add, a.delete), []).append(a)
@@ -162,7 +161,7 @@ def action_flags(task: Task, mx: MutexTable) -> list:
                                      for f in a.add):
             inv = next((b.id for b in by_effects.get((a.delete, a.add), ())
                         if b.pre <= after), None)
-        candidates = min((cutter.achievers[f] for f in a.delete), key=len,
+        candidates = min((tables.achievers[f] for f in a.delete), key=len,
                          default=range(len(task.actions)))
         ali = next((b.id for b in map(task.actions.__getitem__, candidates)
                     if b.pre <= after and b.add >= a.delete
@@ -170,7 +169,7 @@ def action_flags(task: Task, mx: MutexTable) -> list:
                    None)
         static_add = not (a.add & all_deletes)
         # a deleted goal fact, or one that an action other than a needs
-        relevant = any(f in task.goal or len(cutter.pre_index[f]) > (f in a.pre)
+        relevant = any(f in task.goal or len(tables.pre_index[f]) > (f in a.pre)
                        for f in a.delete)
         flags.append(ActionFlags(a.id, inv, ali, static_add, relevant))
     return flags
@@ -201,7 +200,7 @@ def check_lemmas(task: Task) -> AnalysisReport:
     lemma2 = all(f.at_least_invertible is not None
                  or (f.static_add_effects and not f.relevant_delete_effects)
                  for f in flags)
-    prop2 = all(len(ids) <= 1 for ids in _cutter(task).achievers)
+    prop2 = all(len(ids) <= 1 for ids in task.tables.achievers)
     prop3 = len(task.goal) <= 1 and all(len(a.pre) <= 1 for a in task.actions)
     prop4 = prop3 and all(a.delete <= a.pre for a in task.actions)
     return AnalysisReport(mx, flags, lemma1, lemma2, prop2, prop3, prop4)
@@ -260,31 +259,20 @@ def _bits(mask):
         mask ^= low
 
 
-def _masks(task: Task):
-    """Three lists of fact masks indexed by action id: preconditions, add
-    effects and delete effects.  Index ``len(task.actions)`` is the goal
-    pseudo-action, whose preconditions are the goal and which adds and
-    deletes nothing."""
-    def mask(facts):
-        return sum(1 << f for f in facts)
-
-    return ([mask(a.pre) for a in task.actions] + [mask(task.goal)],
-            [mask(a.add) for a in task.actions] + [0],
-            [mask(a.delete) for a in task.actions] + [0])
-
-
 def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
     """Build the tree depth-first on an explicit stack of open nodes, each
     with its path context as fact masks, the frames of the virtual walk in
-    ``interaction_free_verdict``.
+    ``interaction_free_verdict``; both read the action masks of
+    ``task.tables``.
 
     Each action node records its ancestor conflicts as it is created: the
     action deletes a fact that some action node above it (the root, with
     the goal as precondition, included) requires and that no action in
     between re-adds, and the two labels differ.
     """
-    achievers = _cutter(task).achievers
-    pre_mask, add_mask, del_mask = _masks(task)
+    tables = task.tables
+    achievers, pre_mask, add_mask, del_mask = \
+        tables.achievers, tables.pre_mask, tables.add_mask, tables.del_mask
     goal = len(task.actions)
     kinds, labels, parents = ['A'], [None], [None]
     ancestor_conflicts = []
@@ -361,7 +349,7 @@ def _deletion_pairs(task: Task):
     """Unordered action pairs ``(a, b)``, ``a < b``, in which one action
     deletes a precondition of the other, sorted.  Only the actions that
     need a deleted fact are visited."""
-    needers = _cutter(task).pre_index
+    needers = task.tables.pre_index
     pairs = set()
     for a in task.actions:
         for f in a.delete:
@@ -465,10 +453,12 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
     under identical path context (facts seen, preconditions required,
     vulnerable facts), so expansions are memoized on that context and
     ``cap`` bounds the number of distinct expansions rather than explicit
-    tree nodes.  The goal is walked as the pseudo-action of ``_masks``.
+    tree nodes.  The goal is walked as the pseudo-action of the task's
+    ``tables`` masks.
     """
-    achievers = _cutter(task).achievers
-    pre_mask, add_mask, del_mask = _masks(task)
+    tables = task.tables
+    achievers, pre_mask, add_mask, del_mask = \
+        tables.achievers, tables.pre_mask, tables.add_mask, tables.del_mask
 
     allied = {}                       # action id -> actions in earlier siblings
     memo = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResourceExhausted
-from .task_model import Task
+from .task_model import Tables, Task
 
 INF = float("inf")
 
@@ -46,20 +46,20 @@ def build_rpg(task: Task, s) -> RelaxedPlanningGraph:
     """Layered delete-free graph from s, up to the first goal layer or, when
     the goal is unreachable, the fixpoint.
 
-    The layers are read off the unit-cost h_max values of the task's
-    ``_LandmarkCutter`` (``levels``): a fact first appears at layer
-    ``val[f]``, and an action is applicable from the layer of its costliest
-    precondition on."""
-    cutter = _cutter(task)
-    val, supp = cutter.levels(s)
-    goal_layer = max((val[g] for g in cutter.goal), default=0)
+    The layers are read off the unit-cost h_max values over the task's
+    ``tables`` (``levels``): a fact first appears at layer ``val[f]``, and
+    an action is applicable from the layer of its costliest precondition
+    on."""
+    tables = task.tables
+    val, supp = levels(tables, s)
+    goal_layer = max((val[g] for g in tables.goal), default=0)
     if goal_layer == INF:
         goal_layer = None
         last = max(v for v in val if v != INF)
         n_action_layers = last + 1      # the last one adds nothing new
     else:
         last = n_action_layers = goal_layer
-    first_level = {f: v for f, v in enumerate(val[:cutter.top]) if v <= last}
+    first_level = {f: v for f, v in enumerate(val[:tables.top]) if v <= last}
     fact_layers = [frozenset(f for f, v in first_level.items() if v <= i)
                    for i in range(last + 1)]
     action_layers = [[aid for aid, p in enumerate(supp) if p >= 0 and val[p] <= i]
@@ -72,192 +72,160 @@ def h_goalcount(task: Task, s):
     return len(task.goal - s)
 
 
-class _LandmarkCutter:
-    """LM-cut over the delete relaxation, with tables built once per task.
+# LM-cut over the delete relaxation (Helmert & Domshlak 2009), on the
+# task's ``Tables``.
+#
+# ``rounds`` repeatedly takes h_max values under the current action costs,
+# with a costliest precondition of every action as its supporter, collects
+# the zone of facts connected to the costliest goal fact through zero-cost
+# supporter steps, and cuts the positive-cost achievers of zone facts whose
+# supporter lies outside the zone.  Every relaxed plan must use an action of
+# each cut, so charging and removing the cut's minimum cost yields an
+# admissible lower bound that dominates h_max.  A call runs one full
+# exploration; after a cut only the cut actions got cheaper, so ``_lower``
+# propagates the decrease from them and recomputes the maximum of an action
+# only when its supporter got cheaper.
 
-    The tables are lists indexed by action or fact id: each action's
-    preconditions and add effects, and per fact the actions that need it
-    (``pre_index``) and the actions that add it (``achievers``).  A
-    precondition-free action gets the artificial fact ``len(task.facts)``,
-    true in every state, as its one precondition.
 
-    ``levels`` (h_max at unit costs) is also FF's relaxed planning graph
-    (Bonet & Geffner 2001): a fact's value is the layer it first appears in.
+def _explore(tables: Tables, s, cost):
+    """h_max from state s; cost[aid] is None for excluded actions.
+    Returns (val, supp): per fact its value (INF when unreached), per
+    action its supporter (-1 when unreached or excluded).
 
-    ``rounds`` repeatedly takes h_max values under the current action
-    costs, with a costliest precondition of every action as its supporter,
-    collects the zone of facts connected to the costliest goal fact through
-    zero-cost supporter steps, and cuts the positive-cost achievers of zone
-    facts whose supporter lies outside the zone.  Every relaxed plan must
-    use an action of each cut, so charging and removing the cut's minimum
-    cost yields an admissible lower bound that dominates h_max.  A call
-    runs one full exploration; after a cut only the cut actions got
-    cheaper, so ``_lower`` propagates the decrease from them and recomputes
-    the maximum of an action only when its supporter got cheaper.
-    """
-
-    def __init__(self, task: Task):
-        self.task = task
-        self.top = top = len(task.facts)
-        self.goal = sorted(task.goal)
-        self.pres = [sorted(a.pre) or [top] for a in task.actions]
-        self.adds = [sorted(a.add) for a in task.actions]
-        self.pre_count = [len(pre) for pre in self.pres]
-        self.unit = [1] * len(task.actions)
-        self.pre_index = [[] for _ in range(top + 1)]
-        self.achievers = [[] for _ in range(top + 1)]
-        for aid, (pre, add) in enumerate(zip(self.pres, self.adds)):
-            for p in pre:
-                self.pre_index[p].append(aid)
-            for f in add:
-                self.achievers[f].append(aid)
-
-    def _explore(self, s, cost):
-        """h_max from state s; cost[aid] is None for excluded actions.
-        Returns (val, supp): per fact its value (INF when unreached), per
-        action its supporter (-1 when unreached or excluded).
-
-        Costs are naturals, so facts wait in one list per value (a bucket
-        queue) and leave in order of value."""
-        val = [INF] * (self.top + 1)
-        first = list(s)
-        first.append(self.top)
-        for f in first:
-            val[f] = 0
-        buckets = [first]
-        remaining = self.pre_count[:]
-        supp = [-1] * len(remaining)
-        pre_index, adds = self.pre_index, self.adds
-        d = 0
-        while d < len(buckets):
-            for f in buckets[d]:
-                if val[f] != d:
-                    continue
-                for aid in pre_index[f]:
-                    remaining[aid] -= 1
-                    # the last precondition to leave is a costliest one
-                    if remaining[aid] == 0 and cost[aid] is not None:
-                        supp[aid] = f
-                        v = cost[aid] + d
-                        for g in adds[aid]:
-                            if v < val[g]:
-                                val[g] = v
-                                while len(buckets) <= v:
-                                    buckets.append([])
-                                buckets[v].append(g)
-            d += 1
-        return val, supp
-
-    def levels(self, s):
-        """The relaxed planning graph from s, as ``_explore`` at unit costs:
-        (val, supp), where val[f] is the layer fact f first appears in and
-        val[supp[aid]] the first layer action aid is applicable in."""
-        return self._explore(s, self.unit)
-
-    def _lower(self, val, supp, cost, cut):
-        """Bring val and supp up to date after the costs of ``cut`` fell:
-        only facts whose value drops are queued, and an action's maximum is
-        recomputed (ties to the highest fact id) only when its supporter
-        drops."""
-        pres, adds, pre_index = self.pres, self.adds, self.pre_index
-        buckets = []
-        for aid in cut:
-            v = cost[aid] + val[supp[aid]]
-            for g in adds[aid]:
-                if v < val[g]:
-                    val[g] = v
-                    while len(buckets) <= v:
-                        buckets.append([])
-                    buckets[v].append(g)
-        d = 0
-        while d < len(buckets):
-            for f in buckets[d]:
-                if val[f] != d:
-                    continue
-                for aid in pre_index[f]:
-                    if supp[aid] != f:
-                        continue    # a cheaper non-supporter leaves the max
-                    p, vp = f, d
-                    for q in pres[aid]:
-                        vq = val[q]
-                        if vq > vp or (vq == vp and q > p):
-                            p, vp = q, vq
-                    supp[aid] = p
-                    v = cost[aid] + vp
+    Costs are naturals, so facts wait in one list per value (a bucket
+    queue) and leave in order of value."""
+    val = [INF] * (tables.top + 1)
+    first = list(s)
+    first.append(tables.top)
+    for f in first:
+        val[f] = 0
+    buckets = [first]
+    remaining = tables.pre_count[:]
+    supp = [-1] * len(remaining)
+    pre_index, adds = tables.pre_index, tables.adds
+    d = 0
+    while d < len(buckets):
+        for f in buckets[d]:
+            if val[f] != d:
+                continue
+            for aid in pre_index[f]:
+                remaining[aid] -= 1
+                # the last precondition to leave is a costliest one
+                if remaining[aid] == 0 and cost[aid] is not None:
+                    supp[aid] = f
+                    v = cost[aid] + d
                     for g in adds[aid]:
                         if v < val[g]:
                             val[g] = v
                             while len(buckets) <= v:
                                 buckets.append([])
                             buckets[v].append(g)
-            d += 1
-
-    def rounds(self, s, cost, limit=INF):
-        """Run cut rounds from state s on (and consume) ``cost``, where
-        cost[aid] is a natural, or None for excluded actions.
-
-        Returns (total charged cost, first cut found).  Total is INF when
-        the goal is unreachable with the non-excluded actions, and the cut
-        is None when the goal holds without any charged action.  The rounds
-        stop as soon as the total reaches ``limit``: a total below ``limit``
-        is the full one, and any other is at least ``limit``.
-        """
-        if limit <= 0:
-            return 0, None
-        val, supp = self._explore(s, cost)
-        return self._cut(val, supp, cost, limit)
-
-    def _cut(self, val, supp, cost, limit=INF):
-        """The cut rounds of ``rounds``, from h_max values ``val``/``supp``
-        already explored under ``cost``; consumes all three."""
-        achievers = self.achievers
-        total = 0
-        first_cut = None
-        while True:
-            gc, gf = max(((val[g], g) for g in self.goal), default=(0, -1))
-            if gc == INF:
-                return INF, None
-            if gc == 0:
-                return total, first_cut
-            zone = {gf}
-            stack = [gf]
-            entering = []
-            while stack:
-                f = stack.pop()
-                for aid in achievers[f]:
-                    p = supp[aid]
-                    if p < 0:
-                        continue
-                    if cost[aid] == 0:
-                        if p not in zone:
-                            zone.add(p)
-                            stack.append(p)
-                    else:
-                        entering.append(aid)
-            cut = sorted({aid for aid in entering if supp[aid] not in zone})
-            if not cut:
-                return total, first_cut
-            if first_cut is None:
-                first_cut = cut
-            m = min(cost[aid] for aid in cut)
-            total += m
-            if total >= limit:
-                return total, first_cut
-            for aid in cut:
-                cost[aid] -= m
-            self._lower(val, supp, cost, cut)
+        d += 1
+    return val, supp
 
 
-_last_cutter = None
+def levels(tables: Tables, s):
+    """The relaxed planning graph from s (Bonet & Geffner 2001), as
+    ``_explore`` at unit costs: (val, supp), where val[f] is the layer fact
+    f first appears in and val[supp[aid]] the first layer action aid is
+    applicable in."""
+    return _explore(tables, s, tables.unit)
 
 
-def _cutter(task: Task) -> _LandmarkCutter:
-    """The cutter of ``task``; only the last task's tables are kept."""
-    global _last_cutter
-    cutter = _last_cutter
-    if cutter is None or cutter.task is not task:
-        cutter = _last_cutter = _LandmarkCutter(task)
-    return cutter
+def _lower(tables: Tables, val, supp, cost, cut):
+    """Bring val and supp up to date after the costs of ``cut`` fell:
+    only facts whose value drops are queued, and an action's maximum is
+    recomputed (ties to the highest fact id) only when its supporter
+    drops."""
+    pres, adds, pre_index = tables.pres, tables.adds, tables.pre_index
+    buckets = []
+    for aid in cut:
+        v = cost[aid] + val[supp[aid]]
+        for g in adds[aid]:
+            if v < val[g]:
+                val[g] = v
+                while len(buckets) <= v:
+                    buckets.append([])
+                buckets[v].append(g)
+    d = 0
+    while d < len(buckets):
+        for f in buckets[d]:
+            if val[f] != d:
+                continue
+            for aid in pre_index[f]:
+                if supp[aid] != f:
+                    continue    # a cheaper non-supporter leaves the max
+                p, vp = f, d
+                for q in pres[aid]:
+                    vq = val[q]
+                    if vq > vp or (vq == vp and q > p):
+                        p, vp = q, vq
+                supp[aid] = p
+                v = cost[aid] + vp
+                for g in adds[aid]:
+                    if v < val[g]:
+                        val[g] = v
+                        while len(buckets) <= v:
+                            buckets.append([])
+                        buckets[v].append(g)
+        d += 1
+
+
+def rounds(tables: Tables, s, cost, limit=INF):
+    """Run cut rounds from state s on (and consume) ``cost``, where
+    cost[aid] is a natural, or None for excluded actions.
+
+    Returns (total charged cost, first cut found).  Total is INF when
+    the goal is unreachable with the non-excluded actions, and the cut
+    is None when the goal holds without any charged action.  The rounds
+    stop as soon as the total reaches ``limit``: a total below ``limit``
+    is the full one, and any other is at least ``limit``.
+    """
+    if limit <= 0:
+        return 0, None
+    val, supp = _explore(tables, s, cost)
+    return _cut(tables, val, supp, cost, limit)
+
+
+def _cut(tables: Tables, val, supp, cost, limit=INF):
+    """The cut rounds of ``rounds``, from h_max values ``val``/``supp``
+    already explored under ``cost``; consumes all three."""
+    achievers = tables.achievers
+    total = 0
+    first_cut = None
+    while True:
+        gc, gf = max(((val[g], g) for g in tables.goal), default=(0, -1))
+        if gc == INF:
+            return INF, None
+        if gc == 0:
+            return total, first_cut
+        zone = {gf}
+        stack = [gf]
+        entering = []
+        while stack:
+            f = stack.pop()
+            for aid in achievers[f]:
+                p = supp[aid]
+                if p < 0:
+                    continue
+                if cost[aid] == 0:
+                    if p not in zone:
+                        zone.add(p)
+                        stack.append(p)
+                else:
+                    entering.append(aid)
+        cut = sorted({aid for aid in entering if supp[aid] not in zone})
+        if not cut:
+            return total, first_cut
+        if first_cut is None:
+            first_cut = cut
+        m = min(cost[aid] for aid in cut)
+        total += m
+        if total >= limit:
+            return total, first_cut
+        for aid in cut:
+            cost[aid] -= m
+        _lower(tables, val, supp, cost, cut)
 
 
 def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
@@ -267,7 +235,7 @@ def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
     state (a minimal relaxed plan has no redundant step).  Exponential; meant
     as ground truth on small inputs only.
     """
-    val, _ = _cutter(task).levels(s)
+    val, _ = levels(task.tables, s)
     if any(val[g] == INF for g in task.goal):
         return INF
     expanded = [0]
@@ -298,8 +266,8 @@ def h_ff(task: Task, s, tie_break=None):
     """Relaxed-Graphplan heuristic: (value, RelaxedPlan or None).
 
     Backward extraction from the first goal layer of the relaxed planning
-    graph, whose layers are the unit-cost h_max values of the task's
-    ``_LandmarkCutter`` (see ``build_rpg``).  An open goal at layer i is
+    graph, whose layers are the unit-cost h_max values over the task's
+    ``tables`` (see ``build_rpg``).  An open goal at layer i is
     satisfied by a no-op whenever it already appears at layer i-1;
     otherwise by an achiever applicable at layer i-1 minimizing the summed
     first-appearance layers of its preconditions, ties broken by lowest
@@ -311,25 +279,25 @@ def h_ff(task: Task, s, tie_break=None):
     once, at its first layer plus one, and the plan lists the layers in
     order; no selection is ever pulled forward to a lower layer.
     """
-    cutter = _cutter(task)
-    val, supp = cutter.levels(s)
-    return _relaxed_plan(cutter, val, supp, tie_break)
+    val, supp = levels(task.tables, s)
+    return _relaxed_plan(task, val, supp, tie_break)
 
 
-def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
-    """``h_ff``'s extraction over ``cutter.levels`` output (val, supp).
+def _relaxed_plan(task: Task, val, supp, tie_break=None):
+    """``h_ff``'s extraction over ``levels`` output (val, supp).
 
     An open goal g at layer i with val[g] == i takes an achiever whose layer
     is exactly i-1 (a lower one would put g below i), and that selection
     stamps all its adds at layer i, so it is never chosen again.  The
     artificial precondition of a precondition-free action has layer 0 and
     is passed down as a no-op."""
-    m = max((val[g] for g in cutter.goal), default=0)
+    tables = task.tables
+    m = max((val[g] for g in tables.goal), default=0)
     if m == INF:
         return INF, None
-    pres, adds, achievers = cutter.pres, cutter.adds, cutter.achievers
+    pres, adds, achievers = tables.pres, tables.adds, tables.achievers
     open_goals = [[] for _ in range(m + 1)]
-    open_goals[m].extend(cutter.goal)
+    open_goals[m].extend(tables.goal)
     selected_at = [[] for _ in range(m + 1)]    # layer -> action ids, selection order
     stamp = [0] * len(val)                      # fact -> layer of its last selected adder
     weights = {}
@@ -358,7 +326,7 @@ def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
                 elif w == best_w and tie_break is not None:
                     ties.append(aid)
             if tie_break is not None and len(ties) > 1:
-                choice = tie_break(cutter.task, g, ties)
+                choice = tie_break(task, g, ties)
             selected.append(choice)
             for f in adds[choice]:
                 stamp[f] = i
@@ -367,7 +335,7 @@ def _relaxed_plan(cutter: _LandmarkCutter, val, supp, tie_break=None):
     return len(plan), RelaxedPlan(plan)
 
 
-def _pruned_plan(cutter: _LandmarkCutter, s, plan):
+def _pruned_plan(tables: Tables, s, plan):
     """A relaxed plan from s (a list of action ids) less redundant actions.
 
     Drops the actions one at a time, last first, whenever the rest still
@@ -377,17 +345,17 @@ def _pruned_plan(cutter: _LandmarkCutter, s, plan):
     the plan's own index of them.  Returns the kept actions in an order in
     which they apply one after another."""
     s = frozenset(s)
-    pres, adds = cutter.pres, cutter.adds
+    pres, adds = tables.pres, tables.adds
     missing = []                    # plan position -> preconditions not in s
     users = {}                      # fact not in s -> plan positions needing it
     for i, aid in enumerate(plan):
         m = 0
         for p in pres[aid]:
-            if p not in s and p != cutter.top:
+            if p not in s and p != tables.top:
                 m += 1
                 users.setdefault(p, []).append(i)
         missing.append(m)
-    open_goals = [g for g in cutter.goal if g not in s]
+    open_goals = [g for g in tables.goal if g not in s]
 
     def fired(keep):
         """The kept actions in firing order if they reach the goal, else None."""
@@ -431,10 +399,10 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     when the goal becomes reachable through committed actions alone, and is
     pruned when the paid cost plus the landmark bound reaches the incumbent.
     Each node's bound and cut come from one ``rounds`` call on the task's
-    ``_LandmarkCutter``, whose tables are built once per task: one full
-    h_max exploration per node, then incremental updates after each cut,
-    which stop once the bound reaches what the node may still pay below the
-    incumbent, since the node is pruned from there on.  The root explores
+    ``tables``, which are built once per task: one full h_max exploration
+    per node, then incremental updates after each cut, which stop once the
+    bound reaches what the node may still pay below the incumbent, since
+    the node is pruned from there on.  The root explores
     once at unit costs: h_ff's relaxed plan is extracted from those levels,
     and the root's cut rounds continue from them.  The incumbent is h_ff,
     and only when the root's bound stays below it (the root would branch)
@@ -450,19 +418,18 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     stops as soon as the incumbent meets ``lower``.  With a valid bound the
     value is the same as without it; only the work shrinks.
     """
-    cutter = _cutter(task)
-    val, supp = cutter.levels(s)
-    best, plan = _relaxed_plan(cutter, val, supp)
+    tables = task.tables
+    val, supp = levels(tables, s)
+    best, plan = _relaxed_plan(task, val, supp)
     if best == INF:
         return INF
     if best <= lower:
         return best
-    n = len(task.actions)
-    total, cut = cutter._cut(val, supp, [1] * n, best)
+    total, cut = _cut(tables, val, supp, tables.unit[:], best)
     if total < best:
         # the root would branch; FF's plan less its redundant actions may
         # be an incumbent that closes it
-        best = min(best, len(_pruned_plan(cutter, s, plan.actions)))
+        best = min(best, len(_pruned_plan(tables, s, plan.actions)))
     nodes = 1
 
     def bb(cost, total, cut, paid):
@@ -481,10 +448,10 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
             if budget is not None and nodes > budget:
                 raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
             child[aid] = 0
-            bb(child, *cutter.rounds(s, child[:], best - paid - 1), paid + 1)
+            bb(child, *rounds(tables, s, child[:], best - paid - 1), paid + 1)
             child[aid] = None
 
-    bb([1] * n, total, cut, 0)
+    bb(tables.unit[:], total, cut, 0)
     return best
 
 

@@ -8,6 +8,7 @@ exception and never a fake state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class _Undefined:
@@ -62,6 +63,46 @@ class Task:
     name: str = "task"
     fact_by_name: dict = field(default_factory=dict, compare=False, repr=False)
     action_by_name: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def tables(self) -> Tables:
+        return Tables(self)
+
+
+class Tables:
+    """The derived tables of a task that the heuristics and the analysis
+    read, built once per ``Task`` object (``task.tables``, on first use; a
+    task made by ``dataclasses.replace`` builds its own).  Lists indexed by
+    action or fact id: per action its preconditions (``pres``; the
+    artificial fact ``top``, ``len(task.facts)``, true in every state, for
+    a precondition-free action), add effects (``adds``), ``pre_count`` and
+    a unit cost (``unit``); per fact, ``top`` included, the actions that
+    need it (``pre_index``) and that add it (``achievers``), in id order;
+    and the int fact masks ``pre_mask``, ``add_mask`` and ``del_mask``,
+    without ``top``, in which index ``len(task.actions)`` is the goal
+    pseudo-action: it requires the goal and adds and deletes nothing."""
+
+    def __init__(self, task: Task):
+        self.top = top = len(task.facts)
+        self.goal = sorted(task.goal)
+        self.pres = [sorted(a.pre) or [top] for a in task.actions]
+        self.adds = [sorted(a.add) for a in task.actions]
+        self.pre_count = [len(pre) for pre in self.pres]
+        self.unit = [1] * len(task.actions)
+        self.pre_index = [[] for _ in range(top + 1)]
+        self.achievers = [[] for _ in range(top + 1)]
+        for aid, (pre, add) in enumerate(zip(self.pres, self.adds)):
+            for p in pre:
+                self.pre_index[p].append(aid)
+            for f in add:
+                self.achievers[f].append(aid)
+
+        def mask(facts):
+            return sum(1 << f for f in facts)
+
+        self.pre_mask = [mask(a.pre) for a in task.actions] + [mask(task.goal)]
+        self.add_mask = [mask(a.add) for a in task.actions] + [0]
+        self.del_mask = [mask(a.delete) for a in task.actions] + [0]
 
 
 def make_task(fact_names, actions_raw, init_names, goal_names, name="task") -> Task:

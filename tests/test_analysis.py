@@ -1,13 +1,14 @@
 """Static analysis: mutexes, action properties, regression-tree conflicts,
 verdicts, and the space-backed validators."""
 
+import dataclasses
 import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plantopo import analysis, heuristics
+from plantopo import analysis
 from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
     Conflict, UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
     VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
@@ -643,10 +644,9 @@ class TestAnalyzeTask:
         assert analyze_task(t).no_local_minima_verdict == standalone
         assert calls == ["mutexes", "flags"]
 
-    def test_interleaved_tasks_read_their_own_tables(self, monkeypatch):
-        # analysis reads the single-task table cache of heuristics._cutter,
-        # which h_plus shares: alternating tasks must never see another
-        # task's tables
+    def test_interleaved_tasks_read_their_own_tables(self):
+        # analysis reads the same per-task tables as h_plus: alternating
+        # tasks must never see another task's tables
         a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))
         b = generate(GeneratorSpec("gripper", {"balls": 2}, 0))
         calls = []
@@ -655,9 +655,8 @@ class TestAnalyzeTask:
             calls += [(analyze_task, a), (h_plus, b, sb), (compute_mutexes, a),
                       (analyze_task, b), (h_plus, a, sa), (compute_mutexes, b)]
 
-        def fresh(f, *args):
-            monkeypatch.setattr(heuristics, "_last_cutter", None)
-            return f(*args)
+        def fresh(f, t, *args):
+            return f(dataclasses.replace(t), *args)
 
         expected = [fresh(*c) for c in calls]
         assert [f(*args) for f, *args in calls] == expected

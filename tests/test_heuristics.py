@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, \
-    _cutter, _pruned_plan, build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
+from plantopo.heuristics import HEURISTICS, INF, _pruned_plan, build_rpg, \
+    h_ff, h_goalcount, h_plus, h_plus_oracle, rounds
 from plantopo.state_space import enumerate_space
 from plantopo.task_model import make_task, validate_plan
 
@@ -56,8 +56,8 @@ class TestHPlus:
         for t, s in cases:
             ff, plan = h_ff(t, s)
             incumbent = ff if plan is None else \
-                len(_pruned_plan(_cutter(t), s, plan.actions))
-            if _cutter(t).rounds(s, [1] * len(t.actions))[0] < incumbent:
+                len(_pruned_plan(t.tables, s, plan.actions))
+            if rounds(t.tables, s, [1] * len(t.actions))[0] < incumbent:
                 branched += 1
                 with pytest.raises(ResourceExhausted):
                     h_plus(t, s, budget=0)
@@ -74,13 +74,13 @@ class TestHPlus:
         # exploration for the root of each state and one per child
         t = generate(GeneratorSpec(family, {"n": 4}, 0))
         calls = [0]
-        explore = _LandmarkCutter._explore
+        explore = heuristics._explore
 
-        def counted(self, s, cost):
+        def counted(tables, s, cost):
             calls[0] += 1
-            return explore(self, s, cost)
+            return explore(tables, s, cost)
 
-        monkeypatch.setattr(_LandmarkCutter, "_explore", counted)
+        monkeypatch.setattr(heuristics, "_explore", counted)
         space = enumerate_space(t, h_plus)
         assert calls[0] / len(space.states) <= cap
 
@@ -108,9 +108,10 @@ def _h_max_by_value_iteration(task, s, cost):
 
 
 class TestLandmarkCutter:
-    def test_incremental_h_max_matches_fresh_exploration(self):
+    def test_incremental_h_max_matches_fresh_exploration(self, monkeypatch):
         rng = random.Random(11)
         cuts = [0]
+        explore, lower = heuristics._explore, heuristics._lower
 
         def check(t, s, cost, val, supp):
             fresh_val, fresh_pre_max = _h_max_by_value_iteration(t, s, cost)
@@ -119,27 +120,25 @@ class TestLandmarkCutter:
             # every reached action's supporter is a costliest precondition
             assert [val[p] if p >= 0 else None for p in supp] == fresh_pre_max
 
+        def explored(tables, s_, cost_):
+            val, supp = explore(tables, s_, cost_)
+            check(t, s, cost_, val, supp)
+            return val, supp
+
+        def lowered(tables, val, supp, cost_, cut):
+            lower(tables, val, supp, cost_, cut)
+            check(t, s, cost_, val, supp)
+            cuts[0] += 1
+
+        monkeypatch.setattr(heuristics, "_explore", explored)
+        monkeypatch.setattr(heuristics, "_lower", lowered)
         for seed in range(200):
             t = random_task(seed)
             for k in range(5):
                 s = random_walk_state(t, rng)
                 cost = [rng.choice([None, 0, 1, 1, 2, 3]) if k else 1
                         for _ in t.actions]
-                cutter = _LandmarkCutter(t)
-                explore, lower = cutter._explore, cutter._lower
-
-                def explored(s_, cost_):
-                    val, supp = explore(s_, cost_)
-                    check(t, s, cost_, val, supp)
-                    return val, supp
-
-                def lowered(val, supp, cost_, cut):
-                    lower(val, supp, cost_, cut)
-                    check(t, s, cost_, val, supp)
-                    cuts[0] += 1
-
-                cutter._explore, cutter._lower = explored, lowered
-                cutter.rounds(s, cost)
+                rounds(t.tables, s, cost)
         assert cuts[0] > 200
 
     def test_rounds_stop_at_the_limit(self):
@@ -149,14 +148,14 @@ class TestLandmarkCutter:
         stopped = 0
         for seed in range(200):
             t = random_task(seed)
-            cutter = _LandmarkCutter(t)
+            tables = t.tables
             for k in range(4):
                 s = random_walk_state(t, rng)
                 cost = [rng.choice([None, 0, 1, 1, 2, 3]) if k else 1
                         for _ in t.actions]
-                full = cutter.rounds(s, cost[:])
+                full = rounds(tables, s, cost[:])
                 for limit in range(-1, 6):
-                    total, cut = cutter.rounds(s, cost[:], limit)
+                    total, cut = rounds(tables, s, cost[:], limit)
                     if full[0] < limit:
                         assert (total, cut) == full
                     else:
@@ -164,10 +163,10 @@ class TestLandmarkCutter:
                         stopped += full[0] != total
         assert stopped > 50
 
-    def test_alternating_tasks_give_fresh_values(self, monkeypatch):
+    def test_alternating_tasks_give_fresh_values(self):
         # same facts and actions, another goal: tables kept for the wrong
         # task would give wrong values without failing; h_ff reads its
-        # layers off the same single-task cutter cache as h_plus
+        # layers off the same per-task tables as h_plus
         a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 4}, 0))
         b = dataclasses.replace(
             a, goal=random_walk_state(a, random.Random(99), 20))
@@ -179,8 +178,7 @@ class TestLandmarkCutter:
             return value, plan.actions
 
         def fresh(h, t, s):
-            monkeypatch.setattr(heuristics, "_last_cutter", None)
-            return h(t, s)
+            return h(dataclasses.replace(t), s)
 
         expected = [(fresh(ff, a, s), fresh(h_plus, b, s),
                      fresh(ff, b, s), fresh(h_plus, a, s)) for s in states]
@@ -369,8 +367,8 @@ def _assert_matches_reference(t, s, pulled=None):
 
 
 class TestRpgFromLevels:
-    """``build_rpg`` and ``h_ff`` read their layers off the cutter's
-    unit-cost h_max; they must equal the layer-by-layer definition."""
+    """``build_rpg`` and ``h_ff`` read their layers off the unit-cost
+    h_max over the task's tables; they must equal the layer-by-layer definition."""
 
     def test_goal_in_state(self, transport_task):
         t = transport_task
@@ -551,7 +549,7 @@ def _assert_pruned_plan(t, s, exact):
     ff, plan = h_ff(t, s)
     if plan is None:
         return 0
-    pruned = _pruned_plan(_cutter(t), s, plan.actions)
+    pruned = _pruned_plan(t.tables, s, plan.actions)
     assert len(set(pruned)) == len(pruned) and set(pruned) <= set(plan.actions)
     assert validate_plan(t, [t.actions[a] for a in pruned], relaxed=True, start=s)
     for i in range(len(pruned)):
@@ -614,7 +612,7 @@ def test_lower_bounds_are_admissible(seed, walk):
     exact = h_plus(t, s)
     goal_layer = _reference_rpg(t, s)[3]
     layer = INF if goal_layer is None else goal_layer
-    landmark = _cutter(t).rounds(s, [1] * len(t.actions))[0]
+    landmark = rounds(t.tables, s, [1] * len(t.actions))[0]
     assert layer <= landmark        # LM-cut dominates h_max
     if exact == INF:
         assert landmark is INF

@@ -5,9 +5,10 @@ from collections import deque
 
 import pytest
 
+from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF, _LandmarkCutter, h_plus
+from plantopo.heuristics import HEURISTICS, INF, h_plus
 from plantopo.state_space import dead_end_class, enumerate_space, \
     exit_distance, export_dot, plateaus, topology_report
 from plantopo.task_model import make_task
@@ -318,7 +319,7 @@ class TestSccPasses:
 
 
 # the unpatched methods, so that each check wraps them only once
-_COUNTED = {name: getattr(_LandmarkCutter, name) for name in ("rounds", "_cut")}
+_COUNTED = {name: getattr(heuristics, name) for name in ("rounds", "_cut")}
 
 
 class TestHPlusColumn:
@@ -329,16 +330,16 @@ class TestHPlusColumn:
     @staticmethod
     def check(task, monkeypatch):
         """Both columns of ``task`` agree; returns, per counted
-        ``_LandmarkCutter`` method, the calls each column made as a
+        LM-cut function of ``heuristics``, the calls each column made as a
         (bounded, plain) pair.  ``rounds`` is called by the B&B children
         only; ``_cut`` also by each root that the bound does not close."""
         counts = {name: [] for name in _COUNTED}
         for name, calls in counts.items():
-            def counted(self, *args, _method=_COUNTED[name], _calls=calls):
+            def counted(*args, _method=_COUNTED[name], _calls=calls):
                 _calls[-1] += 1
-                return _method(self, *args)
+                return _method(*args)
 
-            monkeypatch.setattr(_LandmarkCutter, name, counted)
+            monkeypatch.setattr(heuristics, name, counted)
         plain_calls = []
 
         def wrapper(task, s):

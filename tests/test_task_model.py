@@ -1,12 +1,18 @@
 """State transition semantics, relaxation, and plan validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plantopo.task_model import UNDEFINED, GroundAction, apply, \
+from plantopo.analysis import analyze_task, compute_mutexes, \
+    validate_rp_irrelevant_deletes
+from plantopo.generators import DOMAINS, GeneratorSpec, generate
+from plantopo.heuristics import h_ff, h_plus
+from plantopo.task_model import UNDEFINED, GroundAction, Tables, apply, \
     apply_sequence, is_goal, make_task, relax, successors, validate_plan
 
-from conftest import random_task, random_walk_state
+from conftest import random_task, random_walk_state, reachable_states
 
 import random
 
@@ -123,6 +129,91 @@ class TestNormalization:
             t = random_task(seed)
             for a in t.actions:
                 assert not (a.add & a.delete)
+
+
+def _bits(facts):
+    return sum(1 << f for f in facts)
+
+
+def _assert_tables(t):
+    """``t.tables`` against lists built here from the ``GroundAction``s;
+    returns the number of precondition-free actions."""
+    tables, n, top = t.tables, len(t.actions), len(t.facts)
+    pre_index = [[] for _ in range(top + 1)]
+    achievers = [[] for _ in range(top + 1)]
+    free = 0
+    for a in t.actions:                     # in id order
+        pres = sorted(a.pre) if a.pre else [top]
+        free += not a.pre
+        assert tables.pres[a.id] == pres
+        assert tables.adds[a.id] == sorted(a.add)
+        assert tables.pre_count[a.id] == len(pres)
+        assert tables.pre_mask[a.id] == _bits(a.pre)    # never the top bit
+        assert tables.add_mask[a.id] == _bits(a.add)
+        assert tables.del_mask[a.id] == _bits(a.delete)
+        for p in pres:
+            pre_index[p].append(a.id)
+        for f in a.add:
+            achievers[f].append(a.id)
+    assert tables.top == top
+    assert tables.goal == sorted(t.goal)
+    assert tables.unit == [1] * n
+    assert tables.pre_index == pre_index
+    assert tables.achievers == achievers
+    # the goal pseudo-action: requires the goal, adds and deletes nothing
+    assert len(tables.pre_mask) == len(tables.add_mask) == len(tables.del_mask) == n + 1
+    assert (tables.pre_mask[n], tables.add_mask[n], tables.del_mask[n]) == \
+        (_bits(t.goal), 0, 0)
+    return free
+
+
+class TestTables:
+    def test_contents_on_random_tasks(self):
+        assert sum(_assert_tables(random_task(seed)) for seed in range(200)) > 50
+
+    @pytest.mark.parametrize("family", sorted(DOMAINS))
+    def test_contents_on_families(self, family):
+        _assert_tables(generate(GeneratorSpec(family, {}, 0)))
+
+    def test_built_once_per_task(self, monkeypatch):
+        built = []
+        init = Tables.__init__
+
+        def counted(self, task):
+            built.append(task)
+            init(self, task)
+
+        monkeypatch.setattr(Tables, "__init__", counted)
+        a = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 3}, 0))
+        b = generate(GeneratorSpec("gripper", {"balls": 2}, 0))
+        for sa, sb in zip(*(sorted(reachable_states(t), key=sorted)[:4]
+                            for t in (a, b))):
+            analyze_task(a)
+            h_plus(b, sb)
+            h_ff(a, sa)
+            compute_mutexes(b)
+            analyze_task(b)
+            h_plus(a, sa)
+            h_ff(b, sb)
+            compute_mutexes(a)
+        assert len(built) == 2 and built[0] is a and built[1] is b
+
+        # an equal task made by replace builds its own tables
+        c = dataclasses.replace(a, goal=frozenset(a.init))
+        assert c.tables is not a.tables and len(built) == 3
+        assert c.tables.pre_mask[-1] != a.tables.pre_mask[-1]
+        assert c.tables.pre_mask[:-1] == a.tables.pre_mask[:-1]
+
+        # each restricted task builds its own, the caller's are built once
+        del built[:]
+        s = frozenset(b.init)
+        applicable = [act for act, _ in successors(b, s)]
+        d = dataclasses.replace(b)
+        for act in applicable:
+            validate_rp_irrelevant_deletes(d, s, act)
+        assert len(applicable) > 1
+        assert sum(t is d for t in built) == 1
+        assert len(built) > 2
 
 
 @settings(max_examples=100, deadline=None)
