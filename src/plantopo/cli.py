@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 import click
 
 from . import __version__, pddl
-from .analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, \
-    VERDICT_NO_LOCAL_MINIMA, analyze_task, \
-    check_lemmas, interaction_free_verdict, no_local_minima_criterion, \
-    validate_respected
+from .analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
+    VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
+    analyze_task, check_lemmas, interaction_free_verdict, \
+    no_local_minima_criterion, validate_respected
 from .errors import PlantopoError
-from .generators import PARAMS, GeneratorSpec, generate, pddl_texts
+from .generators import DOMAINS, GeneratorSpec, generate, pddl_texts
 from .heuristics import HEURISTICS, format_value, h_ff
 from .sampling import SampleConfig, run_experiment
 from .search import OUTCOME_SOLVED, enforced_hill_climbing
@@ -26,8 +26,12 @@ from .state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
     PLATEAU_LOCAL_MINIMUM, enumerate_space, export_dot, topology_report
 from .task_model import Task
 
+# taxonomy merges its sizes field by field: the worst value in each order
 _SEVERITY = [DEAD_END_UNDIRECTED, DEAD_END_HARMLESS,
              DEAD_END_RECOGNIZED, DEAD_END_UNRECOGNIZED]
+_INTERACTION_FREE = [VERDICT_HPLUS_EQUALS_GD,
+                     VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, UNKNOWN]
+_NO_LOCAL_MINIMA = [VERDICT_NO_LOCAL_MINIMA, UNKNOWN]
 
 
 @dataclass
@@ -380,22 +384,23 @@ def analyze(domain_path, problem_path, cap, with_space):
 def taxonomy(domain_name, sizes, seed, max_states, cap, fmt):
     """Classify a generated family by exhaustive topology plus static
     verdicts, at the examined sizes only."""
-    if domain_name not in PARAMS:
+    size_params = {name: next(iter(params))
+                   for name, (_, params) in DOMAINS.items() if params}
+    if domain_name not in size_params:
         raise PlantopoError(f"no generator for {domain_name!r}; supported: "
-                            + ", ".join(sorted(PARAMS)))
-    size_param = PARAMS[domain_name][0]
+                            + ", ".join(sorted(size_params)))
+    size_param = size_params[domain_name]
     size_list = _int_range(sizes, "--sizes")
     card = TaxonomyCard(domain_name, size_param, size_list,
-                        DEAD_END_UNDIRECTED, 0, 0)
-    lemma1 = lemma2 = True
-    ifree = nlm = None
+                        DEAD_END_UNDIRECTED, 0, 0, lemma1=True, lemma2=True,
+                        interaction_free=VERDICT_HPLUS_EQUALS_GD,
+                        no_local_minima=VERDICT_NO_LOCAL_MINIMA)
     for size in size_list:
         task = generate(GeneratorSpec(domain_name, {size_param: size}, seed))
         space = enumerate_space(task, HEURISTICS["hplus"], max_states)
         report = topology_report(space)
-        if _SEVERITY.index(report.dead_end_class) > \
-                _SEVERITY.index(card.dead_end_class):
-            card.dead_end_class = report.dead_end_class
+        card.dead_end_class = max(card.dead_end_class, report.dead_end_class,
+                                  key=_SEVERITY.index)
         card.mlmed = max(card.mlmed, report.mlmed)
         card.mbed = max(card.mbed, report.mbed)
         card.per_size.append((size, report.dead_end_class,
@@ -404,20 +409,15 @@ def taxonomy(domain_name, sizes, seed, max_states, cap, fmt):
                for p in report.plateaus):
             card.local_minimum_seen = True
         lemmas = check_lemmas(task)
-        lemma1 = lemma1 and lemmas.lemma1
-        lemma2 = lemma2 and lemmas.lemma2
-        verdict = interaction_free_verdict(task, cap)
-        if ifree in (None, verdict):
-            ifree = verdict
-        elif UNKNOWN in (ifree, verdict):
-            ifree = UNKNOWN
-        else:
-            # both positive, one of them only via repairs
-            ifree = VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS
-        verdict = no_local_minima_criterion(task, cap, flags=lemmas.flags)
-        nlm = verdict if nlm in (None, verdict) else UNKNOWN
-    card.lemma1, card.lemma2 = lemma1, lemma2
-    card.interaction_free, card.no_local_minima = ifree, nlm
+        card.lemma1 = card.lemma1 and lemmas.lemma1
+        card.lemma2 = card.lemma2 and lemmas.lemma2
+        card.interaction_free = max(
+            card.interaction_free, interaction_free_verdict(task, cap),
+            key=_INTERACTION_FREE.index)
+        card.no_local_minima = max(
+            card.no_local_minima,
+            no_local_minima_criterion(task, cap, flags=lemmas.flags),
+            key=_NO_LOCAL_MINIMA.index)
     click.echo(emit_report(card, fmt), nl=False)
 
 

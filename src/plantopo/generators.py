@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import pddl
 from .errors import PreconditionViolated
@@ -29,12 +30,6 @@ class GeneratorSpec:
     def __post_init__(self):
         if isinstance(self.params, dict):
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))
-
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
 
 
 def _require(cond, msg):
@@ -67,17 +62,16 @@ _GRIPPER_DOMAIN = """
 """
 
 
-def _gripper(spec):
+def _gripper(seed, balls):
     """Two rooms, two gripper hands, ``balls`` balls to carry from roomA to
     roomB (fixed structure; no randomization)."""
-    n = spec.param("balls", 2)
-    _require(n >= 1, "gripper needs balls >= 1")
-    balls = [f"ball{i}" for i in range(1, n + 1)]
-    objects = "rooma roomb - room " + " ".join(balls) + " - ball left right - gripper"
+    _require(balls >= 1, "gripper needs balls >= 1")
+    names = [f"ball{i}" for i in range(1, balls + 1)]
+    objects = "rooma roomb - room " + " ".join(names) + " - ball left right - gripper"
     init = ["(at-robby rooma)", "(free left)", "(free right)"]
-    init += [f"(at {b} rooma)" for b in balls]
-    goal = [f"(at {b} roomb)" for b in balls]
-    return _GRIPPER_DOMAIN, _problem("gripper", f"gripper-{n}", objects, init, goal)
+    init += [f"(at {b} rooma)" for b in names]
+    goal = [f"(at {b} roomb)" for b in names]
+    return _GRIPPER_DOMAIN, _problem("gripper", f"gripper-{balls}", objects, init, goal)
 
 
 _LOGISTICS_DOMAIN = """
@@ -118,21 +112,22 @@ _LOGISTICS_DOMAIN = """
 """
 
 
-def _logistics(spec):
+def _logistics(seed, cities, size, airplanes, packages):
     """``cities`` cities of ``size`` locations each (the count includes the
     airport, which is always location 1), one truck per city, ``airplanes``
     airplanes, ``packages`` packages.  Trucks start at seeded random
     locations of their city, airplanes at random airports, packages at
-    random locations with random distinct goal locations."""
-    cities = spec.param("cities", 1)
-    size = spec.param("size", 2)
-    airplanes = spec.param("airplanes", 1 if cities > 1 else 0)
-    packages = spec.param("packages", 1)
+    random locations with random distinct goal locations.  ``airplanes``
+    defaults to one when there are several cities and to none otherwise."""
+    if airplanes is None:
+        airplanes = 1 if cities > 1 else 0
     _require(cities >= 1 and size >= 1 and packages >= 1 and airplanes >= 0,
              "logistics needs cities,size,packages >= 1 and airplanes >= 0")
     _require(cities == 1 or airplanes >= 1,
              "logistics with several cities needs an airplane")
-    rng = random.Random(spec.seed)
+    _require(cities * size >= 2,
+             "logistics needs two locations for distinct package goals")
+    rng = random.Random(seed)
     locs = {c: [f"c{c}l{i}" for i in range(1, size + 1)]
             for c in range(1, cities + 1)}
     all_locs = [l for c in locs for l in locs[c]]
@@ -183,24 +178,23 @@ _FERRY_DOMAIN = """
 """
 
 
-def _ferry(spec):
+def _ferry(seed, locations, cars):
     """``locations`` locations and ``cars`` cars; the ferry starts at
     location 1; car origins and (distinct) destinations are seeded random."""
-    nl = spec.param("locations", 2)
-    nc = spec.param("cars", 1)
-    _require(nl >= 2 and nc >= 1, "ferry needs locations >= 2 and cars >= 1")
-    rng = random.Random(spec.seed)
-    locations = [f"loc{i}" for i in range(1, nl + 1)]
-    cars = [f"car{i}" for i in range(1, nc + 1)]
-    objs = " ".join(locations) + " - location " + " ".join(cars) + " - car"
+    _require(locations >= 2 and cars >= 1, "ferry needs locations >= 2 and cars >= 1")
+    rng = random.Random(seed)
+    locs = [f"loc{i}" for i in range(1, locations + 1)]
+    names = [f"car{i}" for i in range(1, cars + 1)]
+    objs = " ".join(locs) + " - location " + " ".join(names) + " - car"
     init = ["(at-ferry loc1)", "(empty-ferry)"]
     goal = []
-    for c in cars:
-        origin = rng.choice(locations)
-        dest = rng.choice([l for l in locations if l != origin])
+    for c in names:
+        origin = rng.choice(locs)
+        dest = rng.choice([l for l in locs if l != origin])
         init.append(f"(at {c} {origin})")
         goal.append(f"(at {c} {dest})")
-    return _FERRY_DOMAIN, _problem("ferry", f"ferry-{nl}-{nc}", objs, init, goal)
+    return _FERRY_DOMAIN, _problem("ferry", f"ferry-{locations}-{cars}", objs,
+                                   init, goal)
 
 
 _TSP_DOMAIN = """
@@ -216,16 +210,15 @@ _TSP_DOMAIN = """
 """
 
 
-def _simple_tsp(spec):
+def _simple_tsp(seed, locations):
     """``locations`` fully connected locations, all to be visited, starting
     at location 0.  The start location counts as visited initially."""
-    n = spec.param("locations", 3)
-    _require(n >= 1, "simple-tsp needs locations >= 1")
-    locations = [f"loc{i}" for i in range(n)]
-    objs = " ".join(locations) + " - location"
+    _require(locations >= 1, "simple-tsp needs locations >= 1")
+    locs = [f"loc{i}" for i in range(locations)]
+    objs = " ".join(locs) + " - location"
     init = ["(at loc0)", "(visited loc0)"]
-    goal = [f"(visited {l})" for l in locations]
-    return _TSP_DOMAIN, _problem("simple-tsp", f"tsp-{n}", objs, init, goal)
+    goal = [f"(visited {l})" for l in locs]
+    return _TSP_DOMAIN, _problem("simple-tsp", f"tsp-{locations}", objs, init, goal)
 
 
 _MOVIE_DOMAIN = """
@@ -266,16 +259,15 @@ _MOVIE_DOMAIN = """
 """
 
 
-def _movie(spec):
+def _movie(seed, items):
     """Fixed structure; ``items`` objects of each snack kind."""
-    n = spec.param("items", 1)
-    _require(n >= 1, "movie needs items >= 1")
+    _require(items >= 1, "movie needs items >= 1")
     objs = []
     for kind in ("chips", "dip", "pop", "cheese", "crackers"):
-        objs.append(" ".join(f"{kind}{i}" for i in range(1, n + 1)) + f" - {kind}")
+        objs.append(" ".join(f"{kind}{i}" for i in range(1, items + 1)) + f" - {kind}")
     goal = ["(movie-rewound)", "(counter-at-zero)", "(have-chips)", "(have-dip)",
             "(have-pop)", "(have-cheese)", "(have-crackers)"]
-    return _MOVIE_DOMAIN, _problem("movie", f"movie-{n}", " ".join(objs), [], goal)
+    return _MOVIE_DOMAIN, _problem("movie", f"movie-{items}", " ".join(objs), [], goal)
 
 
 _HANOI_DOMAIN = """
@@ -291,28 +283,27 @@ _HANOI_DOMAIN = """
 """
 
 
-def _hanoi(spec):
+def _hanoi(seed, discs):
     """``discs`` discs initially stacked on peg 1, goal stack on peg 3;
     three pegs; disc i is smaller than disc j for i < j and every disc is
     smaller than every peg."""
-    n = spec.param("discs", 3)
-    _require(n >= 1, "hanoi needs discs >= 1")
-    discs = [f"d{i}" for i in range(1, n + 1)]
+    _require(discs >= 1, "hanoi needs discs >= 1")
+    names = [f"d{i}" for i in range(1, discs + 1)]
     pegs = ["p1", "p2", "p3"]
-    objs = " ".join(discs + pegs)
+    objs = " ".join(names + pegs)
     init = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            init.append(f"(smaller {discs[i]} {discs[j]})")
+    for i in range(discs):
+        for j in range(i + 1, discs):
+            init.append(f"(smaller {names[i]} {names[j]})")
         for p in pegs:
-            init.append(f"(smaller {discs[i]} {p})")
-    for i in range(n - 1):
-        init.append(f"(on {discs[i]} {discs[i + 1]})")
-    init += [f"(on {discs[-1]} p1)", f"(clear {discs[0]})",
+            init.append(f"(smaller {names[i]} {p})")
+    for i in range(discs - 1):
+        init.append(f"(on {names[i]} {names[i + 1]})")
+    init += [f"(on {names[-1]} p1)", f"(clear {names[0]})",
              "(clear p2)", "(clear p3)"]
-    goal = [f"(on {discs[i]} {discs[i + 1]})" for i in range(n - 1)]
-    goal.append(f"(on {discs[-1]} p3)")
-    return _HANOI_DOMAIN, _problem("hanoi", f"hanoi-{n}", objs, init, goal)
+    goal = [f"(on {names[i]} {names[i + 1]})" for i in range(discs - 1)]
+    goal.append(f"(on {names[-1]} p3)")
+    return _HANOI_DOMAIN, _problem("hanoi", f"hanoi-{discs}", objs, init, goal)
 
 
 _TIREWORLD_DOMAIN = """
@@ -386,25 +377,24 @@ _TIREWORLD_DOMAIN = """
 """
 
 
-def _tireworld(spec):
+def _tireworld(seed, tires):
     """``tires`` flat tires to replace; tools and spares start in the closed
     boot, flats on fastened, on-ground hubs with tight nuts."""
-    n = spec.param("tires", 1)
-    _require(n >= 1, "tireworld needs tires >= 1")
+    _require(tires >= 1, "tireworld needs tires >= 1")
     objs = ["boot - container"]
-    objs += [f"hub{i} - hub" for i in range(1, n + 1)]
-    objs += [f"nut{i} - nut" for i in range(1, n + 1)]
-    objs += [f"flat{i} spare{i} - wheel" for i in range(1, n + 1)]
+    objs += [f"hub{i} - hub" for i in range(1, tires + 1)]
+    objs += [f"nut{i} - nut" for i in range(1, tires + 1)]
+    objs += [f"flat{i} spare{i} - wheel" for i in range(1, tires + 1)]
     init = ["(closed boot)", "(in wrench boot)", "(in pump boot)", "(in jack boot)"]
     goal = ["(closed boot)", "(in wrench boot)", "(in pump boot)", "(in jack boot)"]
-    for i in range(1, n + 1):
+    for i in range(1, tires + 1):
         init += [f"(in spare{i} boot)", f"(not-inflated spare{i})",
                  f"(on flat{i} hub{i})", f"(on-ground hub{i})",
                  f"(fastened hub{i})", f"(tight nut{i} hub{i})"]
         goal += [f"(on spare{i} hub{i})", f"(inflated spare{i})",
                  f"(tight nut{i} hub{i})"]
     return _TIREWORLD_DOMAIN, _problem(
-        "tireworld", f"tireworld-{n}", " ".join(objs), init, goal)
+        "tireworld", f"tireworld-{tires}", " ".join(objs), init, goal)
 
 
 _BW_ARM_DOMAIN = """
@@ -481,38 +471,34 @@ def _bw_facts(stacks, table_pred):
     return facts
 
 
-def _blocksworld(spec, domain_text, table_pred, with_arm):
+# with_arm -> (domain name, domain text, table predicate)
+_BW_VARIANTS = {True: ("blocksworld-arm", _BW_ARM_DOMAIN, "ontable"),
+                False: ("blocksworld-no-arm", _BW_NO_ARM_DOMAIN, "on-table")}
+
+
+def _blocksworld(seed, blocks, with_arm):
     """``blocks`` blocks; seeded random initial stacks and an independent
     random goal arrangement expressed as on-facts only (cycle-free)."""
-    n = spec.param("blocks", 3)
-    _require(n >= 1, "blocksworld needs blocks >= 1")
-    rng = random.Random(spec.seed)
-    blocks = [f"b{i}" for i in range(1, n + 1)]
-    objs = " ".join(blocks) + " - block"
-    init = _bw_facts(_random_arrangement(blocks, rng), table_pred)
+    _require(blocks >= 1, "blocksworld needs blocks >= 1")
+    dn, domain_text, table_pred = _BW_VARIANTS[with_arm]
+    rng = random.Random(seed)
+    names = [f"b{i}" for i in range(1, blocks + 1)]
+    objs = " ".join(names) + " - block"
+    init = _bw_facts(_random_arrangement(names, rng), table_pred)
     if with_arm:
         init.append("(arm-empty)")
-    goal_stacks = _random_arrangement(blocks, rng)
+    goal_stacks = _random_arrangement(names, rng)
     goal = [f"(on {a} {b})" for stack in goal_stacks
             for a, b in zip(stack, stack[1:])]
     if not goal:
-        goal = [f"(clear {blocks[0]})"]
-    dn = "blocksworld-arm" if with_arm else "blocksworld-no-arm"
-    return domain_text, _problem(dn, f"{dn}-{n}", objs, init, goal)
-
-
-def _blocksworld_arm(spec):
-    return _blocksworld(spec, _BW_ARM_DOMAIN, "ontable", True)
-
-
-def _blocksworld_no_arm(spec):
-    return _blocksworld(spec, _BW_NO_ARM_DOMAIN, "on-table", False)
+        goal = [f"(clear {names[0]})"]
+    return domain_text, _problem(dn, f"{dn}-{blocks}", objs, init, goal)
 
 
 # ---------------------------------------------------------------------------
 # hand-built fixtures
 
-def _transport_swap(spec):
+def _transport_swap(seed):
     """One vehicle, two locations, two objects that must swap locations."""
     domain = """
 (define (domain transport)
@@ -540,7 +526,7 @@ def _transport_swap(spec):
     return domain, _problem("transport", "swap", objs, init, goal)
 
 
-def _blocksworld_arm_held(spec):
+def _blocksworld_arm_held(seed):
     """Three blocks; the arm holds c, b sits on a; goal: b on the table with
     c on top of it.  The initial state sits on a local minimum."""
     objs = "a b c - block"
@@ -549,7 +535,7 @@ def _blocksworld_arm_held(spec):
     return _BW_ARM_DOMAIN, _problem("blocksworld-arm", "held", objs, init, goal)
 
 
-def _shared_enabler_goals(spec):
+def _shared_enabler_goals(seed):
     """Two goals; one enabler fact feeds both goals, a second enabler feeds
     only the second goal, so a bad tie-break pays for both enablers."""
     domain = """
@@ -578,17 +564,11 @@ def _shared_enabler_goals(spec):
     :effect (p2))
 )
 """
-    problem = """
-(define (problem shared-enabler-1)
-  (:domain shared-enabler)
-  (:init )
-  (:goal (and (g1) (g2)))
-)
-"""
-    return domain, problem
+    return domain, _problem("shared-enabler", "shared-enabler-1", "", [],
+                            ["(g1)", "(g2)"])
 
 
-def _toll_road_graph(spec):
+def _toll_road_graph(seed):
     """Path-finding on the map a-b, b-d, c-d, d-e where entering e from d
     costs a toll token, obtainable only by the detour move from d to c."""
     domain = """
@@ -611,18 +591,12 @@ def _toll_road_graph(spec):
     :effect (and (at e) (not (at d))))
 )
 """
-    problem = """
-(define (problem toll-road-1)
-  (:domain toll-road)
-  (:init (at a) (road a b) (road b a) (road b d) (road d b)
-         (road c d) (road e d))
-  (:goal (at e))
-)
-"""
-    return domain, problem
+    init = ["(at a)", "(road a b)", "(road b a)", "(road b d)", "(road d b)",
+            "(road c d)", "(road e d)"]
+    return domain, _problem("toll-road", "toll-road-1", "", init, ["(at e)"])
 
 
-def _road_graph(spec):
+def _road_graph(seed):
     """The same map as toll-road-graph but with plain bidirectional moves
     everywhere and no toll."""
     domain = """
@@ -636,19 +610,13 @@ def _road_graph(spec):
     :effect (and (at ?y) (not (at ?x))))
 )
 """
-    problem = """
-(define (problem road-graph-1)
-  (:domain road-graph)
-  (:objects a b c d e - location)
-  (:init (at a) (road a b) (road b a) (road b d) (road d b)
-         (road c d) (road d c) (road d e) (road e d))
-  (:goal (at e))
-)
-"""
-    return domain, problem
+    init = ["(at a)", "(road a b)", "(road b a)", "(road b d)", "(road d b)",
+            "(road c d)", "(road d c)", "(road d e)", "(road e d)"]
+    return domain, _problem("road-graph", "road-graph-1", "a b c d e - location",
+                            init, ["(at e)"])
 
 
-def _destructive_detour(spec):
+def _destructive_detour(seed):
     """Three actions; achieving the second goal destroys the first, which
     can only be rebuilt through an enabler that needed the first goal."""
     domain = """
@@ -669,20 +637,15 @@ def _destructive_detour(spec):
     :effect (g1))
 )
 """
-    problem = """
-(define (problem destructive-detour-1)
-  (:domain destructive-detour)
-  (:init (g1))
-  (:goal (and (g1) (g2)))
-)
-"""
-    return domain, problem
+    return domain, _problem("destructive-detour", "destructive-detour-1", "",
+                            ["(g1)"], ["(g1)", "(g2)"])
 
 
-def _stack_on_extra(n, domain_text, table_pred, with_arm):
+def _stack_on_extra(seed, n, with_arm):
     """n blocks stacked b1..bn (bn on the table) plus a spare block; the
     goal rebuilds the same stack on top of the spare."""
     _require(n >= 1, "stack fixture needs n >= 1")
+    dn, domain_text, table_pred = _BW_VARIANTS[with_arm]
     blocks = [f"b{i}" for i in range(1, n + 2)]
     objs = " ".join(blocks) + " - block"
     init = [f"(on b{i} b{i + 1})" for i in range(1, n)]
@@ -691,16 +654,7 @@ def _stack_on_extra(n, domain_text, table_pred, with_arm):
     if with_arm:
         init.append("(arm-empty)")
     goal = [f"(on b{i} b{i + 1})" for i in range(1, n + 1)]
-    dn = "blocksworld-arm" if with_arm else "blocksworld-no-arm"
     return domain_text, _problem(dn, f"stack-{n}", objs, init, goal)
-
-
-def _blocksworld_arm_stack(spec):
-    return _stack_on_extra(spec.param("n", 3), _BW_ARM_DOMAIN, "ontable", True)
-
-
-def _blocksworld_no_arm_stack(spec):
-    return _stack_on_extra(spec.param("n", 4), _BW_NO_ARM_DOMAIN, "on-table", False)
 
 
 # ---------------------------------------------------------------------------
@@ -716,42 +670,30 @@ def _problem(domain, name, objects, init, goal):
     return "\n".join(lines) + "\n"
 
 
+# name -> (generator, {parameter: default}), the size parameter first: the
+# one `taxonomy` varies.  `pddl_texts` calls generator(seed, **parameters);
+# the hand-built fixtures take none.
 DOMAINS = {
-    "gripper": _gripper,
-    "logistics": _logistics,
-    "ferry": _ferry,
-    "simple-tsp": _simple_tsp,
-    "movie": _movie,
-    "hanoi": _hanoi,
-    "tireworld": _tireworld,
-    "blocksworld-arm": _blocksworld_arm,
-    "blocksworld-no-arm": _blocksworld_no_arm,
+    "gripper": (_gripper, {"balls": 2}),
+    "logistics": (_logistics, {"cities": 1, "size": 2, "airplanes": None,
+                               "packages": 1}),
+    "ferry": (_ferry, {"cars": 1, "locations": 2}),
+    "simple-tsp": (_simple_tsp, {"locations": 3}),
+    "movie": (_movie, {"items": 1}),
+    "hanoi": (_hanoi, {"discs": 3}),
+    "tireworld": (_tireworld, {"tires": 1}),
+    "blocksworld-arm": (partial(_blocksworld, with_arm=True), {"blocks": 3}),
+    "blocksworld-no-arm": (partial(_blocksworld, with_arm=False), {"blocks": 3}),
+    "blocksworld-arm-stack": (partial(_stack_on_extra, with_arm=True), {"n": 3}),
+    "blocksworld-no-arm-stack": (partial(_stack_on_extra, with_arm=False),
+                                 {"n": 4}),
     # hand-built fixtures
-    "transport-swap": _transport_swap,
-    "blocksworld-arm-held": _blocksworld_arm_held,
-    "shared-enabler-goals": _shared_enabler_goals,
-    "toll-road-graph": _toll_road_graph,
-    "road-graph": _road_graph,
-    "destructive-detour": _destructive_detour,
-    "blocksworld-arm-stack": _blocksworld_arm_stack,
-    "blocksworld-no-arm-stack": _blocksworld_no_arm_stack,
-}
-
-
-# parameter names each family reads, its size parameter first: the one
-# `taxonomy` varies (for logistics, cities); the hand-built fixtures read none
-PARAMS = {
-    "gripper": ("balls",),
-    "logistics": ("cities", "airplanes", "packages", "size"),
-    "ferry": ("cars", "locations"),
-    "simple-tsp": ("locations",),
-    "movie": ("items",),
-    "hanoi": ("discs",),
-    "tireworld": ("tires",),
-    "blocksworld-arm": ("blocks",),
-    "blocksworld-no-arm": ("blocks",),
-    "blocksworld-arm-stack": ("n",),
-    "blocksworld-no-arm-stack": ("n",),
+    "transport-swap": (_transport_swap, {}),
+    "blocksworld-arm-held": (_blocksworld_arm_held, {}),
+    "shared-enabler-goals": (_shared_enabler_goals, {}),
+    "toll-road-graph": (_toll_road_graph, {}),
+    "road-graph": (_road_graph, {}),
+    "destructive-detour": (_destructive_detour, {}),
 }
 
 
@@ -760,12 +702,12 @@ def pddl_texts(spec: GeneratorSpec):
     if spec.domain_name not in DOMAINS:
         raise PreconditionViolated(f"unknown domain {spec.domain_name}; "
                                    f"supported: {', '.join(sorted(DOMAINS))}")
-    accepted = PARAMS.get(spec.domain_name, ())
-    unknown = [k for k, _ in spec.params if k not in accepted]
+    generator, defaults = DOMAINS[spec.domain_name]
+    unknown = [k for k, _ in spec.params if k not in defaults]
     _require(not unknown,
              f"{spec.domain_name} has no parameter {', '.join(unknown)}; "
-             f"accepted: {', '.join(sorted(accepted)) or 'none'}")
-    return DOMAINS[spec.domain_name](spec)
+             f"accepted: {', '.join(sorted(defaults)) or 'none'}")
+    return generator(spec.seed, **{**defaults, **dict(spec.params)})
 
 
 def generate(spec: GeneratorSpec) -> Task:

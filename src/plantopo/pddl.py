@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedFeature
 from .task_model import Task, make_task
@@ -147,7 +147,6 @@ class LiftedTask:
     schemata: list
     init: list              # ground atoms
     goal: list              # ground atoms
-    static_predicates: frozenset = field(default=frozenset())
 
 
 def _parse_typed_list(items, what="object"):
@@ -346,11 +345,6 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
         goal=goal,
     )
     _validate_lifted(lifted)
-    dynamic = set()
-    for sch in schemata:
-        for atom in itertools.chain(sch.add, sch.delete):
-            dynamic.add(atom[0])
-    lifted.static_predicates = frozenset(set(predicates) - dynamic)
     return lifted
 
 
@@ -454,7 +448,8 @@ def ground(lifted: LiftedTask) -> Task:
     the non-static atoms referenced by surviving actions plus every init and
     goal atom, with ids assigned by lexicographic name order.
     """
-    static = lifted.static_predicates
+    static = set(lifted.predicates).difference(
+        atom[0] for sch in lifted.schemata for atom in sch.add + sch.delete)
     init_atoms = set(lifted.init)
     raw_actions = []
     for sch in sorted(lifted.schemata, key=lambda s: s.name):

@@ -16,6 +16,7 @@ from plantopo.analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
     interaction_free_verdict
 from plantopo.cli import TaxonomyCard, emit_report, main
 from plantopo.errors import PlantopoError
+from plantopo.generators import DOMAINS
 from plantopo.state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
     DEAD_END_UNDIRECTED
 
@@ -256,6 +257,14 @@ class TestTaxonomy:
         assert res.exit_code == 1
         assert res.output.startswith("error: ")
 
+    @pytest.mark.parametrize("family", sorted(
+        name for name, (_, params) in DOMAINS.items() if not params))
+    def test_fixture_has_no_size_to_vary(self, runner, family):
+        res = runner.invoke(main, ["taxonomy", family, "--sizes", "1"])
+        assert res.exit_code == 1
+        assert res.output.startswith(f"error: no generator for {family!r}")
+        assert "gripper" in res.output
+
     def test_card_combines_the_sizes(self, runner, monkeypatch):
         # blocksworld-arm reads HplusEqualsGd at size 1 and Unknown at size
         # 2, and size 3 has a local minimum
@@ -318,11 +327,12 @@ class TestErrorBoundary:
         ["parse", FREE, str(DATA / "gripper2-problem.pddl")],
         ["parse", str(DATA / "gripper2-domain.pddl"), ILL_TYPED],
         ["parse", str(DATA / "gripper2-domain.pddl"), COMMA],
+        ["gen", "--domain", "logistics", "--param", "size=1"],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
             "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
             "parse-free-variable", "parse-ill-typed-init",
-            "parse-comma-in-object-name"])
+            "parse-comma-in-object-name", "gen-logistics-one-location"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")

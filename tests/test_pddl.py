@@ -1,5 +1,6 @@
 """Parser, grounder, and serializer for the PDDL subset."""
 
+import dataclasses
 import pathlib
 import random
 import re
@@ -270,6 +271,18 @@ class TestGround:
         assert [x.name for x in a.actions] == [x.name for x in b.actions]
         assert a.init == b.init and a.goal == b.goal
 
+    def test_static_predicates_follow_the_schemata(self):
+        # without move, at-robby is static: pick and drop survive only in
+        # rooma, the robot's room, and lose their at-robby precondition
+        lifted = parse_task(*pddl_texts(GeneratorSpec("gripper", {"balls": 1}, 0)))
+        fixed = dataclasses.replace(lifted, schemata=[
+            s for s in lifted.schemata if s.name != "move"])
+        task = ground(fixed)
+        assert [a.name for a in task.actions if "roomb" in a.name] == []
+        again = ground(parse_task(*serialize(fixed)))
+        assert [(a.name, a.pre, a.add, a.delete) for a in task.actions] == \
+            [(a.name, a.pre, a.add, a.delete) for a in again.actions]
+
     def test_zero_operator_domain(self):
         dom = """(define (domain empty) (:requirements :strips)
                  (:predicates (p ?x)))"""
@@ -325,6 +338,29 @@ class TestGeneratorContracts:
             assert "airplanes, cities, packages, size" in str(exc.value)
         with pytest.raises(PreconditionViolated, match="accepted: none"):
             generate(GeneratorSpec("transport-swap", {"n": 1}, 0))
+
+    def test_logistics_with_one_location_is_refused(self):
+        # a package needs a goal location other than its origin
+        with pytest.raises(PreconditionViolated, match="two locations"):
+            generate(GeneratorSpec("logistics", {"size": 1}, 0))
+
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_declared_defaults_are_the_defaults(self, domain):
+        _, defaults = DOMAINS[domain]
+        assert pddl_texts(GeneratorSpec(domain, defaults, 3)) == \
+            pddl_texts(GeneratorSpec(domain, {}, 3))
+
+    @pytest.mark.parametrize("domain, param", [
+        (domain, param) for domain in sorted(DOMAINS)
+        for param in DOMAINS[domain][1]])
+    def test_each_declared_parameter_is_read(self, domain, param):
+        default = DOMAINS[domain][1][param]
+        other = 1 if default is None else default + 1
+        # past the first line, which names the problem after its parameters
+        def body(params):
+            problem = pddl_texts(GeneratorSpec(domain, params, 3))[1]
+            return problem.split("\n", 1)[1]
+        assert body({param: other}) != body({})
 
     def test_gripper_shape(self):
         task = generate(GeneratorSpec("gripper", {"balls": 2}, 0))
