@@ -268,7 +268,9 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
     Each action node records its ancestor conflicts as it is created: the
     action deletes a fact that some action node above it (the root, with
     the goal as precondition, included) requires and that no action in
-    between re-adds, and the two labels differ.
+    between re-adds.  The two labels always differ: rule 1 drops every
+    achiever that requires a fact on the root path, so no action appears
+    below itself, and the root stands for ``len(task.actions)``.
     """
     tables = task.tables
     achievers, pre_mask, add_mask, del_mask = \
@@ -312,7 +314,7 @@ def build_fgt(task: Task, node_cap: int = DEFAULT_NODE_CAP) -> Fgt:
                 while up:
                     up = parents[parents[up]]
                     a = labels[up] if up else goal
-                    if pre_mask[a] & bit and a != label:
+                    if pre_mask[a] & bit:
                         above.append(up)
                     if add_mask[a] & bit:
                         break

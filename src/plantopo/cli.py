@@ -20,11 +20,13 @@ from .errors import PlantopoError
 from .generators import DOMAINS, GeneratorSpec, generate, pddl_texts
 from .heuristics import HEURISTICS, format_value, h_ff
 from .sampling import SampleConfig, run_experiment
-from .search import OUTCOME_SOLVED, enforced_hill_climbing
+from .search import DEFAULT_BUDGET, OUTCOME_SOLVED, enforced_hill_climbing
 from .state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
     DEAD_END_UNDIRECTED, DEAD_END_UNRECOGNIZED, DEFAULT_MAX_STATES, \
     PLATEAU_LOCAL_MINIMUM, enumerate_space, export_dot, topology_report
 from .task_model import Task
+
+_FGT_CAP = 100_000     # regression-tree node cap of analyze and taxonomy
 
 # taxonomy merges its sizes field by field: the worst value in each order
 _SEVERITY = [DEAD_END_UNDIRECTED, DEAD_END_HARMLESS,
@@ -266,7 +268,7 @@ def topology(domain_path, problem_path, heuristic, max_states, dot_file,
 @click.argument("problem_path", type=click.Path(exists=True))
 @click.option("--h", "heuristic", default="hff", show_default=True,
               type=click.Choice(sorted(HEURISTICS)))
-@click.option("--budget", default=1_000_000, show_default=True,
+@click.option("--budget", default=DEFAULT_BUDGET, show_default=True,
               type=click.IntRange(min=1))
 def plan(domain_path, problem_path, heuristic, budget):
     """Plan with enforced hill-climbing."""
@@ -323,7 +325,7 @@ def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
 @main.command()
 @click.argument("domain_path", type=click.Path(exists=True))
 @click.argument("problem_path", type=click.Path(exists=True))
-@click.option("--fgt-cap", "cap", default=100_000, show_default=True,
+@click.option("--fgt-cap", "cap", default=_FGT_CAP, show_default=True,
               type=click.IntRange(min=1),
               help="node cap for the goal regression tree")
 @click.option("--with-space", is_flag=True,
@@ -377,7 +379,7 @@ def analyze(domain_path, problem_path, cap, with_space):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-states", default=DEFAULT_MAX_STATES, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--cap", default=100_000, show_default=True,
+@click.option("--cap", default=_FGT_CAP, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "csv"]))

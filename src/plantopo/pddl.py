@@ -174,6 +174,17 @@ def _parse_typed_list(items, what="object"):
     return out
 
 
+def _declare(table, name, value, what, *earlier):
+    """Record ``name -> value`` in ``table``.  A declaration repeated
+    unchanged is accepted; one that differs from ``table``'s or an
+    ``earlier`` table's entry for ``name`` is a ParseError, not a silent
+    last-one-wins."""
+    for known in (table, *earlier):
+        if known.get(name, value) != value:
+            raise ParseError(f"conflicting declarations of {what} {name}")
+    table[name] = value
+
+
 def _check_supported(sexpr):
     head = _head(sexpr)
     if head in _REJECTED_HEADS:
@@ -256,17 +267,18 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
                 requirements.append(req)
         elif head == ":types":
             for name, parent in _parse_typed_list(section[1:], "type"):
-                types[name] = parent
+                _declare(types, name, parent, "type")
         elif head == ":constants":
             for name, t in _parse_typed_list(section[1:], "constant"):
-                constants[name] = t
+                _declare(constants, name, t, "constant")
         elif head == ":predicates":
             for p in section[1:]:
                 pname = _head(p)
                 if pname is None:
                     raise ParseError("expected a (predicate ?param ...) declaration",
                                      *_where(p))
-                predicates[pname] = _parse_typed_list(p[1:], "parameter")
+                _declare(predicates, pname, _parse_typed_list(p[1:], "parameter"),
+                         "predicate")
         elif head == ":functions":
             raise UnsupportedFeature("numeric fluents are not supported")
         elif head == ":derived":
@@ -312,7 +324,7 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
             pass
         elif head == ":objects":
             for name, t in _parse_typed_list(section[1:], "object"):
-                objects[name] = t
+                _declare(objects, name, t, "object", constants)
         elif head == ":init":
             for atom in section[1:]:
                 _check_supported(atom)

@@ -15,6 +15,7 @@ import io
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import NoReferencePlan, PlantopoError, PreconditionViolated, \
     ResourceExhausted
@@ -97,29 +98,36 @@ def sample_states(task: Task, cfg: SampleConfig) -> list:
     return samples
 
 
+def _nearest(task: Task, start, target, admit, what):
+    """Breadth-first distance from ``start`` to the nearest state where
+    ``target`` holds, over transitions u -> v where ``admit(u, v)`` holds;
+    INF when none is reachable.  Past ``DEFAULT_MAX_STATES`` seen states
+    the ``what`` search raises ResourceExhausted."""
+    if target(start):
+        return 0
+    seen = {start}
+    queue = deque([(start, 0)])
+    while queue:
+        u, d = queue.popleft()
+        for _, v in successors(task, u):
+            if v in seen or not admit(u, v):
+                continue
+            if target(v):
+                return d + 1
+            seen.add(v)
+            if len(seen) > DEFAULT_MAX_STATES:
+                raise ResourceExhausted(
+                    f"{what} search exceeded {DEFAULT_MAX_STATES} states")
+            queue.append((v, d + 1))
+    return INF
+
+
 def on_valley(task: Task, s, heuristic) -> bool:
     """True iff no goal state is reachable from s along a path on which the
     heuristic value is monotonically non-increasing."""
     h = memoized(heuristic, task)
-    start = frozenset(s)
-    if is_goal(task, start):
-        return False
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        hu = h(task, u)
-        for _, v in successors(task, u):
-            if v in seen or h(task, v) > hu:
-                continue
-            if is_goal(task, v):
-                return False
-            seen.add(v)
-            if len(seen) > DEFAULT_MAX_STATES:
-                raise ResourceExhausted(
-                    f"valley search exceeded {DEFAULT_MAX_STATES} states")
-            queue.append(v)
-    return True
+    return _nearest(task, frozenset(s), partial(is_goal, task),
+                    lambda u, v: h(task, u) >= h(task, v), "valley") == INF
 
 
 def sampled_exit_distance(task: Task, s, heuristic):
@@ -136,23 +144,7 @@ def sampled_exit_distance(task: Task, s, heuristic):
         return h(task, u) == level and \
             any(h(task, v) < level for _, v in successors(task, u))
 
-    if is_exit(start):
-        return 0
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        u, d = queue.popleft()
-        for _, v in successors(task, u):
-            if v in seen:
-                continue
-            if is_exit(v):
-                return d + 1
-            seen.add(v)
-            if len(seen) > DEFAULT_MAX_STATES:
-                raise ResourceExhausted(
-                    f"exit-distance search exceeded {DEFAULT_MAX_STATES} states")
-            queue.append((v, d + 1))
-    return INF
+    return _nearest(task, start, is_exit, lambda u, v: True, "exit-distance")
 
 
 def run_experiment(specs: list, cfg: SampleConfig) -> SampleReport:

@@ -13,6 +13,8 @@ OUTCOME_SOLVED = "Solved"
 OUTCOME_FAILED = "Failed"
 OUTCOME_EXHAUSTED = "ResourceExhausted"
 
+DEFAULT_BUDGET = 1_000_000      # states evaluated
+
 
 @dataclass
 class SearchResult:
@@ -27,7 +29,8 @@ class SearchResult:
         return max(self.episode_depths, default=0)
 
 
-def enforced_hill_climbing(task: Task, heuristic, budget: int = 1_000_000) -> SearchResult:
+def enforced_hill_climbing(task: Task, heuristic,
+                           budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Iterated breadth-first search for a strictly better-valued state.
 
     Successors are expanded in action-id order; states with infinite

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ResourceExhausted
 from .heuristics import INF, format_value, h_plus
@@ -43,6 +44,17 @@ class StateSpace:
     def size(self):
         return len(self.states)
 
+    @cached_property
+    def exits(self) -> dict:
+        """Per heuristic level, the states at that level with a strictly
+        better successor (the level's exits); built once per space."""
+        h = self.h
+        exits = {}
+        for sid, succs in enumerate(self.transitions):
+            if any(h[nid] < h[sid] for _, nid in succs):
+                exits.setdefault(h[sid], set()).add(sid)
+        return exits
+
 
 @dataclass
 class Plateau:
@@ -66,9 +78,10 @@ class TopologyReport:
 def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES) -> StateSpace:
     """Breadth-first expansion from init in action-id order.
 
-    ``heuristic`` is a callable (task, state) -> value.  Goal distances come
-    from a backward breadth-first search over the predecessor lists, which
-    the space keeps, from all goal states.  ``h_plus`` itself is evaluated
+    ``heuristic`` is a callable (task, state) -> value.  Each transition
+    is also recorded in its target's predecessor list, which the space
+    keeps; goal distances come from a backward breadth-first search over
+    those lists from all goal states.  ``h_plus`` itself is evaluated
     with lower bounds from its predecessors (``_h_plus_column``); the
     values are the same as from plain calls.
     """
@@ -76,6 +89,7 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     states = [init]
     index = {init: 0}
     transitions = []
+    preds = [[]]
     frontier = deque([0])
     while frontier:
         sid = frontier.popleft()
@@ -90,14 +104,11 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
                 nid = len(states)
                 index[ns] = nid
                 states.append(ns)
+                preds.append([])
                 frontier.append(nid)
             succs.append((a.id, nid))
-        transitions.append(succs)
-
-    preds = [[] for _ in states]
-    for sid, succs in enumerate(transitions):
-        for _, nid in succs:
             preds[nid].append(sid)
+        transitions.append(succs)
 
     if heuristic is h_plus:
         h = _h_plus_column(task, states, preds)
@@ -205,62 +216,46 @@ def _sccs(nodes, succ, size):
                 yield comp
 
 
-def _exits_by_level(space: StateSpace) -> dict:
-    """Per heuristic level, the states at that level with a strictly
-    improving successor (the level's exits)."""
-    h = space.h
-    exits = {}
-    for sid, succs in enumerate(space.transitions):
-        if any(h[nid] < h[sid] for _, nid in succs):
-            exits.setdefault(h[sid], set()).add(sid)
-    return exits
-
-
-def plateaus(space: StateSpace, exits=None) -> list:
+def plateaus(space: StateSpace) -> list:
     """Plateau partition: SCCs of each heuristic level's induced subgraph,
-    in increasing level order.  ``exits`` is ``_exits_by_level(space)``,
-    computed here when not given.
+    in increasing level order.
 
-    Each SCC is classified as ``_sccs`` yields it.  It reaches an exit of
-    its level when a member is one, or when a flat edge (to a state of the
-    same level) leads into an SCC already found to reach one; SCCs come
-    sinks first, so those are all classified by then."""
-    if exits is None:
-        exits = _exits_by_level(space)
-    h, transitions = space.h, space.transitions
-    by_level = {}
-    for sid, v in enumerate(h):
-        by_level.setdefault(v, []).append(sid)
-    result = []
-    for level in sorted(by_level):
-
-        def succ(sid):
-            return [nid for _, nid in transitions[sid] if h[nid] == level]
-
+    One ``_sccs`` pass over all states on flat edges (to a state of the
+    same level).  Flat edges never leave a level, so each level's SCCs come
+    in the order of a pass over that level alone, and a stable sort by
+    level numbers them.  Each SCC is classified as it comes: it reaches an
+    exit of its level when a member is one, or when a flat edge leads into
+    an SCC already found to reach one; SCCs come sinks first, so those are
+    all classified by then."""
+    h, exits = space.h, space.exits
+    flat = [[nid for _, nid in succs if h[nid] == h[sid]]
+            for sid, succs in enumerate(space.transitions)]
+    found = []
+    escaping = set()             # states whose flat paths reach an exit
+    for comp in _sccs(range(space.size), flat.__getitem__, space.size):
+        level = h[next(iter(comp))]
         level_exits = exits.get(level, set())
-        escaping = set()         # states whose flat paths reach an exit
-        for comp in _sccs(by_level[level], succ, space.size):
-            if level == INF:
-                cls = PLATEAU_RECOGNIZED_DEAD_END
-            elif level == 0:
-                cls = PLATEAU_GLOBAL_MINIMUM
-            elif (not level_exits.isdisjoint(comp)
-                  or any(nid in escaping for sid in comp for nid in succ(sid))):
-                escaping |= comp
-                cls = PLATEAU_CONTOUR if comp <= level_exits else PLATEAU_BENCH
-            else:
-                cls = PLATEAU_LOCAL_MINIMUM
-            result.append(Plateau(len(result), level, frozenset(comp), cls))
-    return result
+        if level == INF:
+            cls = PLATEAU_RECOGNIZED_DEAD_END
+        elif level == 0:
+            cls = PLATEAU_GLOBAL_MINIMUM
+        elif (not level_exits.isdisjoint(comp)
+              or any(nid in escaping for sid in comp for nid in flat[sid])):
+            escaping |= comp
+            cls = PLATEAU_CONTOUR if comp <= level_exits else PLATEAU_BENCH
+        else:
+            cls = PLATEAU_LOCAL_MINIMUM
+        found.append((level, comp, cls))
+    found.sort(key=lambda f: f[0])
+    return [Plateau(pid, level, frozenset(comp), cls)
+            for pid, (level, comp, cls) in enumerate(found)]
 
 
-def exit_distances(space: StateSpace, level, exits=None) -> list:
+def exit_distances(space: StateSpace, level) -> list:
     """Per state id, the breadth-first distance (over all transitions) to the
     nearest exit at the given heuristic level; INF when none is reachable.
     One multi-source search from the exits over the predecessor lists."""
-    if exits is None:
-        exits = _exits_by_level(space).get(level, set())
-    return _distances_to(space.preds, exits)
+    return _distances_to(space.preds, space.exits.get(level, ()))
 
 
 def exit_distance(space: StateSpace, sid: int):
@@ -300,8 +295,7 @@ def _unrecognized_depths(space: StateSpace):
 
 
 def topology_report(space: StateSpace) -> TopologyReport:
-    exits = _exits_by_level(space)
-    plist = plateaus(space, exits)
+    plist = plateaus(space)
     plateau_of = {}
     for p in plist:
         for sid in p.member_state_ids:
@@ -315,7 +309,7 @@ def topology_report(space: StateSpace) -> TopologyReport:
             continue
         if p.level != level:         # plateaus come in level order
             level = p.level
-            dist = exit_distances(space, level, exits.get(level, set()))
+            dist = exit_distances(space, level)
         for sid in p.member_state_ids:
             d = dist[sid]
             ed[sid] = d

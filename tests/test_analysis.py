@@ -425,6 +425,23 @@ class TestBuildFgt:
                 for v in sample:
                     assert fgt.lca(u, v) == lca(u, v), (t.name, u, v)
 
+    def test_no_action_appears_below_itself(self):
+        # so an ancestor conflict never pairs an action with itself
+        pairs = 0
+        for t in _tree_test_tasks() + [
+                generate(GeneratorSpec("blocksworld-arm", {}, 0)),
+                generate(GeneratorSpec("logistics", {}, 0))]:
+            fgt = build_fgt(t)
+            for n in range(1, fgt.size):
+                if fgt.kinds[n] == 'A':
+                    below = [m for m in range(n + 1, fgt.ends[n])
+                             if fgt.kinds[m] == 'A']
+                    pairs += len(below)
+                    assert all(fgt.labels[m] != fgt.labels[n] for m in below), t.name
+            assert all(fgt.labels[d] != fgt.labels[a]
+                       for d, a, _ in fgt.ancestor_conflicts), t.name
+        assert pairs > 10_000
+
 
 class TestFindConflicts:
     def test_toll_graph_single_allied_conflict(self, toll_graph_task):

@@ -175,6 +175,43 @@ class TestParse:
         task = ground(parse_task(dom, prob))
         assert [a.name for a in task.actions] == ["park(c,x)"]
 
+    TYPED_DOMAIN = """(define (domain d) (:requirements :strips :typing)
+        (:types t u - object) (:constants c - t) (:predicates (p ?x - object))
+        (:action go :parameters (?x - t) :precondition (p ?x)
+         :effect (not (p ?x))))"""
+    TYPED_PROBLEM = """(define (problem q) (:domain d) (:objects o - t)
+        (:init (p o) (p c)) (:goal (p o)))"""
+
+    @pytest.mark.parametrize("part, old, new", [
+        ("problem", "(:objects o - t)", "(:objects o - t o - u)"),
+        ("problem", "(:objects o - t)", "(:objects o - t c - u)"),
+        ("domain", "(:predicates (p ?x - object))",
+         "(:predicates (p ?x - t) (p ?x - object))"),
+        ("domain", "(:types t u - object)", "(:types t u - object t - u)"),
+    ], ids=["object-retyped", "constant-retyped-by-object",
+            "predicate-redeclared", "type-reparented"])
+    def test_conflicting_redeclaration_is_a_parse_error(self, part, old, new):
+        # each used to be resolved silently, the last declaration winning
+        texts = {"domain": self.TYPED_DOMAIN, "problem": self.TYPED_PROBLEM}
+        assert old in texts[part]
+        texts[part] = texts[part].replace(old, new, 1)
+        with pytest.raises(ParseError, match="conflicting declarations"):
+            parse_task(texts["domain"], texts["problem"])
+
+    @pytest.mark.parametrize("part, old, new", [
+        ("problem", "(:objects o - t)", "(:objects o - t o - t c - t)"),
+        ("domain", "(:constants c - t)", "(:constants c - t c - t)"),
+        ("domain", "(:predicates (p ?x - object))",
+         "(:predicates (p ?x - object) (p ?x - object))"),
+        ("domain", "(:types t u - object)", "(:types t u - object t)"),
+    ], ids=["object", "constant", "predicate", "type"])
+    def test_unchanged_redeclaration_is_accepted(self, part, old, new):
+        texts = {"domain": self.TYPED_DOMAIN, "problem": self.TYPED_PROBLEM}
+        want = ground(parse_task(texts["domain"], texts["problem"]))
+        assert [a.name for a in want.actions] == ["go(c)", "go(o)"]
+        texts[part] = texts[part].replace(old, new, 1)
+        assert ground(parse_task(texts["domain"], texts["problem"])) == want
+
     @pytest.mark.parametrize("domain, problem, error, message", [
         ("; a comment and nothing else", MINI_PROBLEM, ParseError,
          "unexpected end of input"),

@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from functools import cached_property
 
 import pytest
 
@@ -9,8 +10,8 @@ from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, h_plus
-from plantopo.state_space import dead_end_class, enumerate_space, \
-    exit_distance, export_dot, plateaus, topology_report
+from plantopo.state_space import StateSpace, dead_end_class, enumerate_space, \
+    exit_distance, exit_distances, export_dot, plateaus, topology_report
 from plantopo.task_model import make_task
 
 from conftest import random_task
@@ -153,6 +154,12 @@ class TestPlateaus:
                     assert space.h[sid] == p.level
             assert len(seen) == len(space.states)
 
+    def test_ids_go_up_with_the_level(self, random_spaces):
+        for space in random_spaces[::10]:
+            plist = plateaus(space)
+            assert [p.id for p in plist] == list(range(len(plist)))
+            assert [p.level for p in plist] == sorted(p.level for p in plist)
+
 
 class TestExitDistance:
     def test_blocksworld_held_state(self, held_arm_task):
@@ -213,6 +220,57 @@ class TestExitDistance:
     def test_report_matches_forward_search_on_gripper(self):
         _, space = space_of("gripper", {"balls": 3})
         assert any(d > 0 for d in self.check_against_forward_search(space).values())
+
+    def test_exit_distances_per_level_match_exit_distance(self):
+        spaces = [space_of("gripper", {"balls": 2})[1],
+                  space_of("blocksworld-no-arm-stack", {"n": 3}, H_FF)[1]]
+        spaces += [enumerate_space(random_task(seed, max_facts=7, max_actions=8),
+                                   H_FF, max_states=20_000) for seed in range(10)]
+        for space in spaces:
+            for level in set(space.h):
+                dist = exit_distances(space, level)
+                assert len(dist) == space.size
+                for sid in range(space.size):
+                    if space.h[sid] == level:
+                        assert dist[sid] == exit_distance(space, sid)
+                    elif level not in space.exits:
+                        assert dist[sid] == INF
+
+
+class TestExits:
+    def test_exits_are_the_states_with_a_better_successor(self):
+        _, space = space_of("gripper", {"balls": 2}, H_FF)
+        want = {}
+        for sid in range(space.size):
+            if any(space.h[nid] < space.h[sid] for _, nid in space.transitions[sid]):
+                want.setdefault(space.h[sid], set()).add(sid)
+        assert space.exits == want and 0 not in want
+
+    def test_built_once_per_space(self, monkeypatch):
+        builds = []
+        build = StateSpace.exits.func
+        counted = cached_property(lambda space: builds.append(space) or build(space))
+        counted.__set_name__(StateSpace, "exits")
+        monkeypatch.setattr(StateSpace, "exits", counted)
+        _, space = space_of("gripper", {"balls": 2}, H_FF)
+        _, other = space_of("simple-tsp", {"locations": 3}, H_FF)
+        for s in (space, other):
+            topology_report(s)
+            plateaus(s)
+            for level in set(s.h):
+                exit_distances(s, level)
+        assert builds == [space, other]
+
+    def test_plateaus_distances_and_report_read_it(self):
+        # with the exits emptied, every finite nonzero level is a local
+        # minimum and no exit is reachable
+        _, space = space_of("gripper", {"balls": 2}, H_FF)
+        space.exits.clear()
+        assert {p.plateau_class for p in plateaus(space)} == \
+            {"LocalMinimum", "GlobalMinimum"}
+        assert set(exit_distances(space, space.h[0])) == {INF}
+        rep = topology_report(space)
+        assert rep.mlmed == INF and rep.mbed == 0
 
 
 class TestTopologyReport:
