@@ -75,16 +75,16 @@ def h_goalcount(task: Task, s):
 # LM-cut over the delete relaxation (Helmert & Domshlak 2009), on the
 # task's ``Tables``.
 #
-# ``rounds`` repeatedly takes h_max values under the current action costs,
+# ``_cut`` repeatedly takes h_max values under the current action costs,
 # with a costliest precondition of every action as its supporter, collects
 # the zone of facts connected to the costliest goal fact through zero-cost
 # supporter steps, and cuts the positive-cost achievers of zone facts whose
 # supporter lies outside the zone.  Every relaxed plan must use an action of
 # each cut, so charging and removing the cut's minimum cost yields an
-# admissible lower bound that dominates h_max.  A call runs one full
-# exploration; after a cut only the cut actions got cheaper, so ``_lower``
-# propagates the decrease from them and recomputes the maximum of an action
-# only when its supporter got cheaper.
+# admissible lower bound that dominates h_max.  The rounds start from one
+# full exploration (``_explore``); after a cut only the cut actions got
+# cheaper, so ``_lower`` propagates the decrease from them and recomputes
+# the maximum of an action only when its supporter got cheaper.
 
 
 def _explore(tables: Tables, s, cost):
@@ -171,34 +171,27 @@ def _lower(tables: Tables, val, supp, cost, cut):
         d += 1
 
 
-def rounds(tables: Tables, s, cost, limit=INF):
-    """Run cut rounds from state s on (and consume) ``cost``, where
-    cost[aid] is a natural, or None for excluded actions.
-
-    Returns (total charged cost, first cut found).  Total is INF when
-    the goal is unreachable with the non-excluded actions, and the cut
-    is None when the goal holds without any charged action.  The rounds
-    stop as soon as the total reaches ``limit``: a total below ``limit``
-    is the full one, and any other is at least ``limit``.
-    """
-    if limit <= 0:
-        return 0, None
-    val, supp = _explore(tables, s, cost)
-    return _cut(tables, val, supp, cost, limit)
-
-
 def _cut(tables: Tables, val, supp, cost, limit=INF):
-    """The cut rounds of ``rounds``, from h_max values ``val``/``supp``
-    already explored under ``cost``; consumes all three."""
+    """LM-cut rounds from h_max values ``val``/``supp`` already explored
+    under ``cost``, where cost[aid] is a natural, or None for excluded
+    actions; consumes all three.
+
+    Returns (total charged cost, the cuts in the order found, each a
+    sorted list of action ids).  Total is INF when the goal is
+    unreachable with the non-excluded actions.  The rounds stop as soon as
+    the total reaches ``limit``: a total below ``limit`` is the full one,
+    with every cut, and any other is at least ``limit``.  At unit costs
+    every round charges 1 and zeroes its cut, so the cuts are pairwise
+    disjoint and their number is the total."""
     achievers = tables.achievers
     total = 0
-    first_cut = None
+    cuts = []
     while True:
         gc, gf = max(((val[g], g) for g in tables.goal), default=(0, -1))
         if gc == INF:
-            return INF, None
+            return INF, cuts
         if gc == 0:
-            return total, first_cut
+            return total, cuts
         zone = {gf}
         stack = [gf]
         entering = []
@@ -216,13 +209,12 @@ def _cut(tables: Tables, val, supp, cost, limit=INF):
                     entering.append(aid)
         cut = sorted({aid for aid in entering if supp[aid] not in zone})
         if not cut:
-            return total, first_cut
-        if first_cut is None:
-            first_cut = cut
+            return total, cuts
+        cuts.append(cut)
         m = min(cost[aid] for aid in cut)
         total += m
         if total >= limit:
-            return total, first_cut
+            return total, cuts
         for aid in cut:
             cost[aid] -= m
         _lower(tables, val, supp, cost, cut)
@@ -387,36 +379,166 @@ def _pruned_plan(tables: Tables, s, plan):
     return order
 
 
-def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
-    """Exact optimal relaxed-plan length via landmark branch-and-bound.
+def _hitting_set(landmarks, size, allowance=INF):
+    """A set of at most ``size`` actions that hits every landmark, or None
+    when there is none; and the number of search nodes it took.  Sets of
+    actions, the landmarks included, are int masks over action ids.
 
-    A minimal relaxed plan is a set of actions; every disjunctive action
-    landmark (cut) must contribute at least one member.  A node is a cost
-    list over the actions: 0 for committed, None for banned, 1 for open.
-    The search branches over the members of the node's first cut: branch i
-    commits member i into the plan (its cost drops to zero) and bans
-    members 0..i-1, which partitions the candidate plans.  A branch closes
-    when the goal becomes reachable through committed actions alone, and is
-    pruned when the paid cost plus the landmark bound reaches the incumbent.
-    Each node's bound and cut come from one ``rounds`` call on the task's
-    ``tables``, which are built once per task: one full h_max exploration
-    per node, then incremental updates after each cut, which stop once the
-    bound reaches what the node may still pay below the incumbent, since
-    the node is pruned from there on.  The root explores
-    once at unit costs: h_ff's relaxed plan is extracted from those levels,
-    and the root's cut rounds continue from them.  The incumbent is h_ff,
-    and only when the root's bound stays below it (the root would branch)
-    is it lowered to the length of h_ff's plan less its redundant actions
-    (``_pruned_plan``); the root closes when its bound meets that.
-    ``budget`` bounds the nodes: the root counts, and each child counts as
-    it is created, so a root that closes or is pruned never raises.  Agrees
-    with h_plus_oracle everywhere.
+    A branch-and-bound over the members of the unhit landmark with the
+    fewest members not banned.  They are tried in order of how many unhit
+    landmarks they hit, most first, and each one tried is banned from the
+    later children, which partitions the candidate sets.  A member that
+    hits only landmarks an earlier one hits is banned without a child: a
+    hitting set through it stays one with the earlier member in its place.
+    A node is pruned when a greedy packing of pairwise disjoint unhit
+    landmarks (less the banned members) needs more actions than it may
+    still take.  The search gives up, returning None, once it has made
+    more than ``allowance`` nodes."""
+    nodes = 0
+
+    def search(hit, banned, size):
+        nonlocal nodes
+        nodes += 1
+        if nodes > allowance:
+            return None
+        left = sorted((lm & ~banned for lm in landmarks if not lm & hit),
+                      key=int.bit_count)
+        if not left:
+            return hit
+        if not left[0]:
+            return None         # a landmark with all its members banned
+        used = need = 0
+        for lm in left:
+            if not lm & used:
+                used |= lm
+                need += 1
+                if need > size:
+                    return None
+        branch = left[0]
+        hits = {}               # member -> the unhit landmarks it hits, as bits
+        for i, lm in enumerate(left):
+            common = lm & branch
+            while common:
+                member = common & -common
+                common ^= member
+                hits[member] = hits.get(member, 0) | 1 << i
+        tried = []
+        for member, its in sorted(hits.items(), key=lambda kv: -kv[1].bit_count()):
+            if all(its & ~other for other in tried):
+                found = search(hit | member, banned, size - 1)
+                if found is not None:
+                    return found
+                tried.append(its)
+            banned |= member
+        return None
+
+    return search(0, 0, size), nodes
+
+
+def _landmark(tables: Tables, s, hit):
+    """None when the actions of ``hit`` (an int mask over action ids) reach
+    the goal from s under the delete relaxation; otherwise a landmark that
+    ``hit`` misses, as an int mask.
+
+    ``hit`` grows greedily, in action id order, into a maximal set M of
+    actions whose relaxed closure from s misses the goal: a candidate
+    joins M unless it completes the goal.  Every relaxed plan therefore
+    has an action outside M, and the actions outside M, exactly the
+    candidates turned down, are the landmark.  The closure is a count of
+    missing preconditions per action, decremented as facts are reached; a
+    candidate that completes the goal is taken back by undoing the facts
+    it reached, from a log."""
+    adds, pre_index = tables.adds, tables.pre_index
+    reached = [False] * (tables.top + 1)
+    missing = tables.pre_count[:]
+    for f in (*s, tables.top):
+        reached[f] = True
+        for b in pre_index[f]:
+            missing[b] -= 1
+    wanted = [False] * (tables.top + 1)
+    for g in tables.goal:
+        wanted[g] = True
+    goal_left = sum(not reached[g] for g in tables.goal)
+    member = [False] * len(missing)
+    log = []
+
+    def fire(aid):
+        """Apply aid and every member it enables; whether the goal holds."""
+        nonlocal goal_left
+        stack = [aid]
+        while stack:
+            for f in adds[stack.pop()]:
+                if not reached[f]:
+                    reached[f] = True
+                    log.append(f)
+                    goal_left -= wanted[f]
+                    for b in pre_index[f]:
+                        missing[b] -= 1
+                        if not missing[b] and member[b]:
+                            stack.append(b)
+            if not goal_left:
+                return True
+        return False
+
+    while hit:
+        low = hit & -hit
+        hit ^= low
+        aid = low.bit_length() - 1
+        member[aid] = True
+        if not missing[aid] and fire(aid):
+            return None
+    landmark = 0
+    for aid in range(len(missing)):
+        if member[aid]:
+            continue
+        if missing[aid]:
+            member[aid] = True      # adds nothing to the closure as it is
+            continue
+        mark = len(log)
+        if fire(aid):
+            for f in log[mark:]:
+                reached[f] = False
+                goal_left += wanted[f]
+                for b in pre_index[f]:
+                    missing[b] += 1
+            del log[mark:]
+            landmark |= 1 << aid
+        else:
+            member[aid] = True
+    return landmark
+
+
+def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
+    """Exact optimal relaxed-plan length: a root of cheap bounds, then an
+    implicit hitting set over relaxed landmarks (Bonet & Helmert, ECAI
+    2010; Haslum, Slaney & Thiebaux, ICAPS 2012).
+
+    The root explores once at unit costs (``levels``): h_ff's relaxed plan
+    is extracted from those levels, and the LM-cut rounds (``_cut``)
+    continue from them.  The incumbent is h_ff, and it is the value when
+    the LM-cut bound meets it.  Otherwise it is lowered to the length of
+    h_ff's plan less its redundant actions (``_pruned_plan``), which is
+    the value when the bound meets that.
+
+    Otherwise the loop runs.  Its landmarks (sets of actions every relaxed
+    plan uses one of) start as the root's cuts, which are pairwise
+    disjoint.  Each round searches for a set H of at most ``best - 1``
+    actions that hits every landmark (``_hitting_set``).  If there is none,
+    no relaxed plan is shorter than ``best``, which is the value.  If H
+    reaches the goal from s, it is a relaxed plan and ``best`` becomes its
+    size.  Otherwise H grows into a maximal set whose closure misses the
+    goal, and the actions outside it form a new landmark (``_landmark``),
+    which H misses, so no round repeats.
+
+    ``budget`` bounds the work: the root counts as one unit and each
+    hitting-set search node as one more, so a root that closes never
+    raises ``ResourceExhausted``.  Agrees with h_plus_oracle everywhere.
 
     ``lower`` is a known lower bound on the value, such as a predecessor
     gives: for a transition p -> s by action a, h+(p) <= 1 + h+(s), since
-    a followed by a relaxed plan for s is a relaxed plan for p.  The search
-    stops as soon as the incumbent meets ``lower``.  With a valid bound the
-    value is the same as without it; only the work shrinks.
+    a followed by a relaxed plan for s is a relaxed plan for p.  The value
+    is returned as soon as the incumbent meets ``lower``.  With a valid
+    bound the value is the same as without it; only the work shrinks.
     """
     tables = task.tables
     val, supp = levels(tables, s)
@@ -425,34 +547,29 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
         return INF
     if best <= lower:
         return best
-    total, cut = _cut(tables, val, supp, tables.unit[:], best)
-    if total < best:
-        # the root would branch; FF's plan less its redundant actions may
-        # be an incumbent that closes it
-        best = min(best, len(_pruned_plan(tables, s, plan.actions)))
+    total, cuts = _cut(tables, val, supp, tables.unit[:], best)
+    if total >= best:
+        return best
+    best = len(_pruned_plan(tables, s, plan.actions))
+    if total >= best or best <= lower:
+        return best
+    landmarks = [sum(1 << aid for aid in cut) for cut in cuts]
     nodes = 1
-
-    def bb(cost, total, cut, paid):
-        nonlocal best, nodes
-        if paid + total >= best:
-            return
-        if total == 0:
-            # goal reachable through committed actions only
-            best = paid
-            return
-        child = cost[:]
-        for aid in cut:
+    while True:
+        allowance = INF if budget is None else budget - nodes
+        hit, n = _hitting_set(landmarks, best - 1, allowance)
+        nodes += n
+        if n > allowance:
+            raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
+        if hit is None:
+            return best
+        landmark = _landmark(tables, s, hit)
+        if landmark is None:
+            best = hit.bit_count()
             if best <= lower:
-                return
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
-            child[aid] = 0
-            bb(child, *rounds(tables, s, child[:], best - paid - 1), paid + 1)
-            child[aid] = None
-
-    bb(tables.unit[:], total, cut, 0)
-    return best
+                return best
+        else:
+            landmarks.append(landmark)
 
 
 def h_ff_value(task: Task, s):

@@ -361,11 +361,16 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
 
 
 def _validate_lifted(lifted: LiftedTask):
-    """Reject what would otherwise ground silently wrong: a type cycle, an
-    undeclared type, predicate, variable or constant, an arity mismatch, a
-    term whose type is not its predicate parameter's type or below it, or
-    an object or constant name with a comma (ground atom names join their
-    arguments with commas, so objects a,b c and a b,c would name one fact)."""
+    """Reject what would otherwise ground silently wrong: a type cycle, a
+    parent declared for the root type ``object`` (the cycle walk stops at
+    ``object``, so it would be ignored), an undeclared type, predicate,
+    variable or constant, an arity mismatch, a term whose type is not its
+    predicate parameter's type or below it, or an object or constant name
+    with a comma (ground atom names join their arguments with commas, so
+    objects a,b c and a b,c would name one fact)."""
+    if lifted.types.get("object", "object") != "object":
+        raise ParseError(f"type object is the root type; it cannot be a "
+                         f"{lifted.types['object']}")
     for t in lifted.types:
         chain = set()
         while t != "object":

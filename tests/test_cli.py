@@ -313,6 +313,8 @@ class TestErrorBoundary:
                                     # x y,z: both would name at(x,y,z)
     RETYPED = "<retyped.pddl>"      # gripper domain declaring ball twice,
                                     # the second time below room
+    ROOTED = "<rooted.pddl>"        # gripper domain giving the root type
+                                    # object a parent, room
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=0"],
@@ -331,12 +333,13 @@ class TestErrorBoundary:
         ["parse", str(DATA / "gripper2-domain.pddl"), COMMA],
         ["gen", "--domain", "logistics", "--param", "size=1"],
         ["parse", RETYPED, str(DATA / "gripper2-problem.pddl")],
+        ["parse", ROOTED, str(DATA / "gripper2-problem.pddl")],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
             "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
             "parse-free-variable", "parse-ill-typed-init",
             "parse-comma-in-object-name", "gen-logistics-one-location",
-            "parse-conflicting-type-declarations"])
+            "parse-conflicting-type-declarations", "parse-parent-of-object"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")
@@ -354,11 +357,16 @@ class TestErrorBoundary:
         retyped.write_text((DATA / "gripper2-domain.pddl").read_text().replace(
             "(:types room ball gripper)",
             "(:types room ball gripper - object ball - room)"))
+        rooted = tmp_path / "rooted.pddl"
+        rooted.write_text((DATA / "gripper2-domain.pddl").read_text().replace(
+            "(:types room ball gripper)",
+            "(:types room ball gripper - object object - room)"))
         args = [str(bad) if a == self.BAD else
                 str(free) if a == self.FREE else
                 str(ill_typed) if a == self.ILL_TYPED else
                 str(comma) if a == self.COMMA else
-                str(retyped) if a == self.RETYPED else a for a in args]
+                str(retyped) if a == self.RETYPED else
+                str(rooted) if a == self.ROOTED else a for a in args]
         res = runner.invoke(main, args)
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

@@ -1,6 +1,7 @@
 """Heuristic evaluators: exact relaxed length, oracle, layered extraction."""
 
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -11,12 +12,50 @@ from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, _pruned_plan, build_rpg, \
-    h_ff, h_goalcount, h_plus, h_plus_oracle, rounds
+    h_ff, h_goalcount, h_plus, h_plus_oracle
 from plantopo.state_space import enumerate_space
 from plantopo.task_model import make_task, validate_plan
 
 from conftest import random_single_achiever_task, random_task, \
     random_unary_task, random_walk_state, reachable_states
+
+
+def rounds(tables, s, cost, limit=INF):
+    """LM-cut from state s under ``cost`` (consumed): one h_max
+    exploration, then the cut rounds.  Returns (total, cuts)."""
+    return heuristics._cut(tables, *heuristics._explore(tables, s, cost),
+                           cost, limit)
+
+
+def _counted_searches(monkeypatch):
+    """Count the hitting-set searches of the loop, and their nodes, from
+    here on, in the returned dict {"searches": n, "nodes": n}."""
+    counts = {"searches": 0, "nodes": 0}
+    search = heuristics._hitting_set
+
+    def counted(*args):
+        found, nodes = search(*args)
+        counts["searches"] += 1
+        counts["nodes"] += nodes
+        return found, nodes
+
+    monkeypatch.setattr(heuristics, "_hitting_set", counted)
+    return counts
+
+
+def _recorded_landmarks(monkeypatch):
+    """Record every ``_landmark`` call from here on in the returned list,
+    as (hitting set, landmark or None)."""
+    calls = []
+    landmark = heuristics._landmark
+
+    def recorded(tables, s, hit):
+        lm = landmark(tables, s, hit)
+        calls.append((hit, lm))
+        return lm
+
+    monkeypatch.setattr(heuristics, "_landmark", recorded)
+    return calls
 
 
 class TestHPlus:
@@ -37,16 +76,18 @@ class TestHPlus:
         t = make_task(["p", "g"], [("a", ["p"], ["p"], [])], [], ["g"])
         assert h_plus(t, frozenset(t.init)) is INF
 
-    def test_budget_never_returns_wrong_value(self):
+    def test_budget_never_returns_wrong_value(self, monkeypatch):
         # a task whose bounds do not close without search
         t = random_task(9)
         s = frozenset(t.init)
         assert h_ff(t, s)[0] > h_plus(t, s)
         with pytest.raises(ResourceExhausted):
             h_plus(t, s, budget=0)
-        # the root counts as a node only when it branches, that is when its
-        # unit-cost LM-cut bound stays below the incumbent: h_ff's plan less
-        # its redundant actions
+        # the root counts as one unit, so budget 0 raises exactly where the
+        # loop runs, that is where the unit-cost LM-cut bound stays below
+        # the incumbent, h_ff's plan less its redundant actions; each
+        # hitting-set search node counts as one more unit
+        counts = _counted_searches(monkeypatch)
         rng = random.Random(0)
         cases = [(t, random_walk_state(t, rng)) for seed in range(200)
                  for t in [random_task(seed)] for _ in range(3)]
@@ -57,21 +98,47 @@ class TestHPlus:
             ff, plan = h_ff(t, s)
             incumbent = ff if plan is None else \
                 len(_pruned_plan(t.tables, s, plan.actions))
+            counts["nodes"] = 0
+            value = h_plus(t, s)
+            nodes = counts["nodes"]
             if rounds(t.tables, s, [1] * len(t.actions))[0] < incumbent:
                 branched += 1
                 with pytest.raises(ResourceExhausted):
                     h_plus(t, s, budget=0)
+                with pytest.raises(ResourceExhausted):
+                    h_plus(t, s, budget=nodes)
+                assert h_plus(t, s, budget=1 + nodes) == value
             else:
-                assert h_plus(t, s, budget=0) == h_plus(t, s)
+                assert nodes == 0
+                assert h_plus(t, s, budget=0) == value
         assert 0 < branched < len(cases)
 
-    @pytest.mark.parametrize("family,cap", [
-        ("blocksworld-arm-stack", 2.0),
-        ("blocksworld-no-arm-stack", 1.8),
-    ])
-    def test_explorations_per_state(self, monkeypatch, family, cap):
-        # counts branch-and-bound work rather than timing it: one h_max
-        # exploration for the root of each state and one per child
+    def test_lower_bound_met_by_the_pruned_plan_closes_the_root(self):
+        # where h_ff's plan is longer than h+ but the plan less its
+        # redundant actions is not, a lower bound of h+ closes the root
+        # without the loop, so budget 0 does not raise
+        t = generate(GeneratorSpec("blocksworld-arm-stack", {"n": 4}, 0))
+        closed = 0
+        for s in reachable_states(t):
+            ff, plan = h_ff(t, s)
+            value = h_plus(t, s)
+            if ff > value == len(_pruned_plan(t.tables, s, plan.actions)) > \
+                    rounds(t.tables, s, [1] * len(t.actions))[0]:
+                with pytest.raises(ResourceExhausted):
+                    h_plus(t, s, budget=0)
+                assert h_plus(t, s, budget=0, lower=value) == value
+                closed += 1
+        assert closed == 4
+
+    @pytest.mark.parametrize("family,cap,landmark_cap", [
+        ("blocksworld-arm-stack", 2.0, 4.0),
+        ("blocksworld-no-arm-stack", 1.8, 6.0),
+    ], ids=["blocksworld-arm-stack-2.0", "blocksworld-no-arm-stack-1.8"])
+    def test_explorations_per_state(self, monkeypatch, family, cap,
+                                    landmark_cap):
+        # counts work rather than timing it: one h_max exploration for the
+        # root of each state, and for each hard state (one whose root
+        # leaves the hitting-set loop to run) the landmarks the loop adds
         t = generate(GeneratorSpec(family, {"n": 4}, 0))
         calls = [0]
         explore = heuristics._explore
@@ -83,6 +150,70 @@ class TestHPlus:
         monkeypatch.setattr(heuristics, "_explore", counted)
         space = enumerate_space(t, h_plus)
         assert calls[0] / len(space.states) <= cap
+        landmarks = _recorded_landmarks(monkeypatch)
+        counts = _counted_searches(monkeypatch)
+        hard = 0
+        for s in space.states:
+            before = counts["searches"]
+            h_plus(t, s)
+            hard += counts["searches"] > before
+        added = sum(lm is not None for _, lm in landmarks)
+        assert hard > 10
+        assert added / hard <= landmark_cap
+
+    @pytest.mark.parametrize("seed", [1, 9, 72, 124])
+    def test_hitting_set_lowers_an_inexact_incumbent(self, seed, monkeypatch):
+        # each task has a state where h_ff's pruned plan is longer than h+:
+        # there a hitting set of the landmarks reaches the goal, and its
+        # size lowers the incumbent
+        t = random_task(seed)
+        landmarks = _recorded_landmarks(monkeypatch)
+        lowered = 0
+        for s in sorted(reachable_states(t), key=sorted):
+            plan = h_ff(t, s)[1]
+            if plan is None:
+                continue
+            landmarks.clear()
+            value = h_plus(t, s)
+            assert value == h_plus_oracle(t, s)
+            if len(_pruned_plan(t.tables, s, plan.actions)) > value:
+                reached = [hit for hit, lm in landmarks if lm is None]
+                assert reached and value == reached[-1].bit_count()
+                lowered += 1
+        assert lowered > 0
+
+    def test_added_landmarks_are_landmarks(self, monkeypatch):
+        # every landmark the loop adds is missed by the hitting set it came
+        # from and hit by every relaxed plan: the actions outside it do not
+        # reach the goal.  On random tasks, where few states need the loop,
+        # every optimal relaxed plan (each set of h+ actions, h+ from the
+        # oracle, that reaches the goal) is also checked to hit it
+        landmarks = _recorded_landmarks(monkeypatch)
+        cases = [(random_task(seed), True) for seed in range(1000)]
+        cases += [(generate(GeneratorSpec(family, params, 0)), False)
+                  for family, params in [("hanoi", {"discs": 4}),
+                                         ("blocksworld-arm-stack", {"n": 4})]]
+        added = on_random = 0
+        for t, brute_force in cases:
+            actions = set(range(len(t.actions)))
+            for s in reachable_states(t):
+                landmarks.clear()
+                value = h_plus(t, s)
+                new = [(hit, lm) for hit, lm in landmarks if lm is not None]
+                for hit, lm in new:
+                    members = {a for a in actions if lm >> a & 1}
+                    assert members and not hit & lm
+                    assert not _relaxed_reaches(t, s, actions - members)
+                added += len(new)
+                if brute_force and new:
+                    assert value == h_plus_oracle(t, s)
+                    optimal = [plan for plan in itertools.combinations(actions, value)
+                               if _relaxed_reaches(t, s, plan)]
+                    assert optimal
+                    for _, lm in new:
+                        assert all(any(lm >> a & 1 for a in plan) for plan in optimal)
+                    on_random += len(new)
+        assert on_random > 20 and added > 150
 
 
 def _h_max_by_value_iteration(task, s, cost):
@@ -155,13 +286,35 @@ class TestLandmarkCutter:
                         for _ in t.actions]
                 full = rounds(tables, s, cost[:])
                 for limit in range(-1, 6):
-                    total, cut = rounds(tables, s, cost[:], limit)
+                    total, cuts = rounds(tables, s, cost[:], limit)
                     if full[0] < limit:
-                        assert (total, cut) == full
+                        assert (total, cuts) == full
                     else:
                         assert total >= limit
                         stopped += full[0] != total
         assert stopped > 50
+
+    def test_unit_cost_cuts_are_disjoint_landmarks(self):
+        # at unit costs each round charges 1, so the full rounds hand back
+        # as many cuts as their total, pairwise disjoint, and each one a
+        # landmark: without its actions the goal is out of reach
+        rng = random.Random(6)
+        cuts_seen = 0
+        for seed in range(200):
+            t = random_task(seed)
+            for _ in range(3):
+                s = random_walk_state(t, rng)
+                total, cuts = rounds(t.tables, s, [1] * len(t.actions))
+                if total == INF:
+                    continue
+                assert len(cuts) == total
+                members = [a for cut in cuts for a in cut]
+                assert len(members) == len(set(members))
+                for cut in cuts:
+                    rest = set(range(len(t.actions))) - set(cut)
+                    assert not _relaxed_reaches(t, s, rest)
+                cuts_seen += len(cuts)
+        assert cuts_seen > 150
 
     def test_alternating_tasks_give_fresh_values(self):
         # same facts and actions, another goal: tables kept for the wrong
@@ -196,6 +349,43 @@ class TestLandmarkCutter:
         t = generate(GeneratorSpec(family, params, 0))
         for s in reachable_states(t):
             assert h_plus(t, s) == h_plus_oracle(t, s)
+
+
+class TestHittingSet:
+    @staticmethod
+    def families(rng, n_families):
+        """Random landmark families: int masks over up to 8 actions."""
+        for _ in range(n_families):
+            n = rng.randint(1, 8)
+            yield n, [sum(1 << a for a in
+                          rng.sample(range(n), rng.randint(1, min(4, n))))
+                      for _ in range(rng.randint(0, 7))]
+
+    def test_matches_a_brute_force_minimum(self):
+        rng = random.Random(7)
+        for n, family in self.families(rng, 400):
+            minimum = next(
+                k for k in range(n + 1)
+                if any(all(lm & sum(1 << a for a in members) for lm in family)
+                       for members in itertools.combinations(range(n), k)))
+            for size in range(n + 1):
+                found, nodes = heuristics._hitting_set(family, size)
+                assert nodes >= 1
+                if size < minimum:
+                    assert found is None
+                else:
+                    assert found is not None and found.bit_count() <= size
+                    assert all(lm & found for lm in family)
+
+    def test_gives_up_past_its_allowance(self):
+        rng = random.Random(8)
+        for n, family in self.families(rng, 200):
+            for size in range(n + 1):
+                full = heuristics._hitting_set(family, size)
+                assert heuristics._hitting_set(family, size, full[1]) == full
+                for allowance in range(full[1]):
+                    found, nodes = heuristics._hitting_set(family, size, allowance)
+                    assert found is None and nodes > allowance
 
 
 class TestOracle:
@@ -619,3 +809,26 @@ def test_lower_bounds_are_admissible(seed, walk):
     else:
         assert layer <= exact
         assert landmark <= exact
+
+
+def oracle_sweep(seeds, states=40):
+    """``h_plus`` against the oracle, also with ``lower`` = h-1 and h-2, on
+    the first ``states`` reachable states, in sorted order, of the random,
+    unary and single-achiever tasks of each seed.  Returns how many states
+    it checked."""
+    checked = 0
+    for make in (random_task, random_unary_task, random_single_achiever_task):
+        for seed in seeds:
+            t = make(seed)
+            for s in sorted(reachable_states(t), key=sorted)[:states]:
+                exact = h_plus_oracle(t, s)
+                for lower in (0, exact - 1, exact - 2):
+                    assert h_plus(t, s, lower=lower) == exact, \
+                        (make.__name__, seed, sorted(s), lower)
+                checked += 1
+    return checked
+
+
+def test_h_plus_matches_oracle_on_a_deterministic_sweep():
+    # CI runs the same sweep over seeds 0-2,999
+    assert oracle_sweep(range(300)) > 6000

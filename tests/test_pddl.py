@@ -123,6 +123,24 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_task(dom, prob)
 
+    def test_parent_of_the_root_type_is_a_parse_error(self):
+        # the cycle t -> object -> t passes through the root, where the
+        # cycle walk stops; the declared parent of object used to be
+        # ignored, and go(o) grounded
+        dom = """(define (domain d) (:requirements :strips :typing)
+                 (:types t - object object - t) (:predicates (p ?x - t))
+                 (:action go :parameters (?x - t) :precondition (p ?x)
+                  :effect (not (p ?x))))"""
+        prob = """(define (problem q) (:domain d) (:objects o - t)
+                  (:init (p o)) (:goal (p o)))"""
+        with pytest.raises(ParseError, match="type object is the root type"):
+            parse_task(dom, prob)
+        # object declared without a parent, or as its own, is the root still
+        for types in ("(:types t - object object)", "(:types t object - object)"):
+            task = ground(parse_task(dom.replace(
+                "(:types t - object object - t)", types), prob))
+            assert [a.name for a in task.actions] == ["go(o)"]
+
     @pytest.mark.parametrize("old, new", [
         ("(not (= ?from ?to))", "(not (= ?from ?zz))"),
         ("(not (= ?from ?to))", "(= ?from ?zz)"),

@@ -376,8 +376,14 @@ class TestSccPasses:
         assert deepest > 2
 
 
-# the unpatched methods, so that each check wraps them only once
-_COUNTED = {name: getattr(heuristics, name) for name in ("rounds", "_cut")}
+# the unpatched functions, so that each check wraps them only once
+_COUNTED = {name: getattr(heuristics, name) for name in ("_cut", "_hitting_set")}
+
+
+def _work(name, result):
+    """The work one call of a counted function did: one ``_cut`` call, or
+    the nodes of one hitting-set search."""
+    return result[1] if name == "_hitting_set" else 1
 
 
 class TestHPlusColumn:
@@ -387,15 +393,17 @@ class TestHPlusColumn:
 
     @staticmethod
     def check(task, monkeypatch):
-        """Both columns of ``task`` agree; returns, per counted
-        LM-cut function of ``heuristics``, the calls each column made as a
-        (bounded, plain) pair.  ``rounds`` is called by the B&B children
-        only; ``_cut`` also by each root that the bound does not close."""
+        """Both columns of ``task`` agree; returns, per counted function of
+        ``heuristics``, the work each column made as a (bounded, plain)
+        pair.  ``_cut`` is called by each root that the bound does not
+        close, and ``_hitting_set`` (counted in search nodes) by the loop
+        of each root that no bound closes."""
         counts = {name: [] for name in _COUNTED}
         for name, calls in counts.items():
-            def counted(*args, _method=_COUNTED[name], _calls=calls):
-                _calls[-1] += 1
-                return _method(*args)
+            def counted(*args, _name=name, _calls=calls):
+                result = _COUNTED[_name](*args)
+                _calls[-1] += _work(_name, result)
+                return result
 
             monkeypatch.setattr(heuristics, name, counted)
         plain_calls = []
@@ -420,7 +428,7 @@ class TestHPlusColumn:
     def test_random_tasks(self, monkeypatch):
         bounded = plain = 0
         for seed in range(400):
-            b, p = self.check(random_task(seed), monkeypatch)["rounds"]
+            b, p = self.check(random_task(seed), monkeypatch)["_hitting_set"]
             bounded, plain = bounded + b, plain + p
         assert bounded < plain
 
@@ -441,6 +449,11 @@ class TestHPlusColumn:
             # 504 _cut calls against 1,150 plain
             bounded, plain = counts["_cut"]
             assert 2 * bounded < plain
+        if family == "gripper":
+            # the bound also closes loops: 462 hitting-set nodes against
+            # 778 plain
+            bounded, plain = counts["_hitting_set"]
+            assert bounded < plain
 
 
 class TestInfinity:
