@@ -72,75 +72,62 @@ def h_goalcount(task: Task, s):
     return len(task.goal - s)
 
 
-# LM-cut over the delete relaxation (Helmert & Domshlak 2009), on the
-# task's ``Tables``.
+# LM-cut over the delete relaxation (Helmert & Domshlak 2009) at unit
+# action costs, on the task's ``Tables``.
 #
-# ``_cut`` repeatedly takes h_max values under the current action costs,
-# with a costliest precondition of every action as its supporter, collects
-# the zone of facts connected to the costliest goal fact through zero-cost
-# supporter steps, and cuts the positive-cost achievers of zone facts whose
-# supporter lies outside the zone.  Every relaxed plan must use an action of
-# each cut, so charging and removing the cut's minimum cost yields an
-# admissible lower bound that dominates h_max.  The rounds start from one
-# full exploration (``_explore``); after a cut only the cut actions got
-# cheaper, so ``_lower`` propagates the decrease from them and recomputes
-# the maximum of an action only when its supporter got cheaper.
+# ``_cut`` starts from the h_max values of one exploration (``levels``),
+# with the last precondition of every action to be reached as its
+# supporter.  Each round collects the zone of facts connected to the
+# costliest goal fact through supporter steps of freed actions (those in
+# an earlier cut, now of cost 0), and cuts the other achievers of zone
+# facts whose supporter lies outside the zone.  Every relaxed plan must use
+# an action of each cut, so the number of cuts is an admissible lower bound
+# that dominates h_max.  After a cut only the cut actions got cheaper, so
+# ``_lower`` propagates the decrease from them and recomputes the maximum
+# of an action only when its supporter got cheaper.
 
 
-def _explore(tables: Tables, s, cost):
-    """h_max from state s; cost[aid] is None for excluded actions.
-    Returns (val, supp): per fact its value (INF when unreached), per
-    action its supporter (-1 when unreached or excluded).
-
-    Costs are naturals, so facts wait in one list per value (a bucket
-    queue) and leave in order of value."""
+def levels(tables: Tables, s):
+    """The relaxed planning graph from s (Bonet & Geffner 2001): unit-cost
+    h_max by a breadth-first pass, one layer at a time.  Returns (val,
+    supp): val[f] is the layer fact f first appears in (INF when
+    unreached), and supp[aid] is the last precondition of action aid to
+    be reached (-1 when aid is unreached), a costliest one, so
+    val[supp[aid]] is the first layer aid is applicable in."""
     val = [INF] * (tables.top + 1)
-    first = list(s)
-    first.append(tables.top)
-    for f in first:
+    layer = list(s)
+    layer.append(tables.top)
+    for f in layer:
         val[f] = 0
-    buckets = [first]
     remaining = tables.pre_count[:]
     supp = [-1] * len(remaining)
     pre_index, adds = tables.pre_index, tables.adds
     d = 0
-    while d < len(buckets):
-        for f in buckets[d]:
-            if val[f] != d:
-                continue
+    while layer:
+        d += 1
+        reached = []
+        for f in layer:
             for aid in pre_index[f]:
                 remaining[aid] -= 1
-                # the last precondition to leave is a costliest one
-                if remaining[aid] == 0 and cost[aid] is not None:
+                if remaining[aid] == 0:
                     supp[aid] = f
-                    v = cost[aid] + d
                     for g in adds[aid]:
-                        if v < val[g]:
-                            val[g] = v
-                            while len(buckets) <= v:
-                                buckets.append([])
-                            buckets[v].append(g)
-        d += 1
+                        if val[g] == INF:
+                            val[g] = d
+                            reached.append(g)
+        layer = reached
     return val, supp
 
 
-def levels(tables: Tables, s):
-    """The relaxed planning graph from s (Bonet & Geffner 2001), as
-    ``_explore`` at unit costs: (val, supp), where val[f] is the layer fact
-    f first appears in and val[supp[aid]] the first layer action aid is
-    applicable in."""
-    return _explore(tables, s, tables.unit)
-
-
-def _lower(tables: Tables, val, supp, cost, cut):
-    """Bring val and supp up to date after the costs of ``cut`` fell:
-    only facts whose value drops are queued, and an action's maximum is
-    recomputed (ties to the highest fact id) only when its supporter
-    drops."""
+def _lower(tables: Tables, val, supp, freed, cut):
+    """Bring val and supp up to date after the actions of ``cut`` were
+    freed (``freed[aid]``: cost 0, else 1): only facts whose value drops
+    are queued, and an action's maximum is recomputed (ties to the
+    highest fact id) only when its supporter drops."""
     pres, adds, pre_index = tables.pres, tables.adds, tables.pre_index
     buckets = []
     for aid in cut:
-        v = cost[aid] + val[supp[aid]]
+        v = val[supp[aid]]
         for g in adds[aid]:
             if v < val[g]:
                 val[g] = v
@@ -161,7 +148,7 @@ def _lower(tables: Tables, val, supp, cost, cut):
                     if vq > vp or (vq == vp and q > p):
                         p, vp = q, vq
                 supp[aid] = p
-                v = cost[aid] + vp
+                v = vp if freed[aid] else vp + 1
                 for g in adds[aid]:
                     if v < val[g]:
                         val[g] = v
@@ -171,27 +158,20 @@ def _lower(tables: Tables, val, supp, cost, cut):
         d += 1
 
 
-def _cut(tables: Tables, val, supp, cost, limit=INF):
-    """LM-cut rounds from h_max values ``val``/``supp`` already explored
-    under ``cost``, where cost[aid] is a natural, or None for excluded
-    actions; consumes all three.
-
-    Returns (total charged cost, the cuts in the order found, each a
-    sorted list of action ids).  Total is INF when the goal is
-    unreachable with the non-excluded actions.  The rounds stop as soon as
-    the total reaches ``limit``: a total below ``limit`` is the full one,
-    with every cut, and any other is at least ``limit``.  At unit costs
-    every round charges 1 and zeroes its cut, so the cuts are pairwise
-    disjoint and their number is the total."""
+def _cut(tables: Tables, val, supp, limit=INF):
+    """LM-cut rounds from the ``levels`` output ``val``/``supp``, which
+    they consume.  Returns the cuts in the order found, each a sorted list
+    of action ids; they are pairwise disjoint, every relaxed plan uses an
+    action of each, and there are none when the goal holds in the state or
+    is unreachable.  The rounds stop as soon as there are ``limit`` cuts:
+    fewer than ``limit`` cuts are all of them."""
     achievers = tables.achievers
-    total = 0
+    freed = [False] * len(supp)
     cuts = []
     while True:
         gc, gf = max(((val[g], g) for g in tables.goal), default=(0, -1))
-        if gc == INF:
-            return INF, cuts
         if gc == 0:
-            return total, cuts
+            return cuts
         zone = {gf}
         stack = [gf]
         entering = []
@@ -201,7 +181,7 @@ def _cut(tables: Tables, val, supp, cost, limit=INF):
                 p = supp[aid]
                 if p < 0:
                     continue
-                if cost[aid] == 0:
+                if freed[aid]:
                     if p not in zone:
                         zone.add(p)
                         stack.append(p)
@@ -209,15 +189,13 @@ def _cut(tables: Tables, val, supp, cost, limit=INF):
                     entering.append(aid)
         cut = sorted({aid for aid in entering if supp[aid] not in zone})
         if not cut:
-            return total, cuts
+            return cuts     # no achiever of an unreachable goal fact is reached
         cuts.append(cut)
-        m = min(cost[aid] for aid in cut)
-        total += m
-        if total >= limit:
-            return total, cuts
+        if len(cuts) >= limit:
+            return cuts
         for aid in cut:
-            cost[aid] -= m
-        _lower(tables, val, supp, cost, cut)
+            freed[aid] = True
+        _lower(tables, val, supp, freed, cut)
 
 
 def h_plus_oracle(task: Task, s, budget: int = DEFAULT_ORACLE_BUDGET):
@@ -516,7 +494,7 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     The root explores once at unit costs (``levels``): h_ff's relaxed plan
     is extracted from those levels, and the LM-cut rounds (``_cut``)
     continue from them.  The incumbent is h_ff, and it is the value when
-    the LM-cut bound meets it.  Otherwise it is lowered to the length of
+    the LM-cut bound, the number of cuts, meets it.  Otherwise it is lowered to the length of
     h_ff's plan less its redundant actions (``_pruned_plan``), which is
     the value when the bound meets that.
 
@@ -547,11 +525,11 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
         return INF
     if best <= lower:
         return best
-    total, cuts = _cut(tables, val, supp, tables.unit[:], best)
-    if total >= best:
+    cuts = _cut(tables, val, supp, best)
+    if len(cuts) >= best:
         return best
     best = len(_pruned_plan(tables, s, plan.actions))
-    if total >= best or best <= lower:
+    if len(cuts) >= best or best <= lower:
         return best
     landmarks = [sum(1 << aid for aid in cut) for cut in cuts]
     nodes = 1

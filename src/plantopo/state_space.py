@@ -329,7 +329,9 @@ def topology_report(space: StateSpace) -> TopologyReport:
 
 
 def export_dot(space: StateSpace) -> str:
-    """Deterministic DOT rendering; states sharing an h value share a rank."""
+    """Deterministic DOT rendering; states sharing an h value share a rank.
+    Edges are labelled with their action names, with ``\\`` and ``"``
+    escaped inside the quoted label."""
     lines = ["digraph statespace {", "  rankdir=TB;"]
     by_level = {}
     for sid in range(space.size):
@@ -343,6 +345,8 @@ def export_dot(space: StateSpace) -> str:
         lines.append("  { rank=same; " + " ".join(f"s{sid};" for sid in ids) + " }")
     for sid, succs in enumerate(space.transitions):
         for aid, nid in succs:
-            lines.append(f'  s{sid} -> s{nid} [label="{space.task.actions[aid].name}"];')
+            name = space.task.actions[aid].name
+            name = name.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  s{sid} -> s{nid} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -75,9 +75,9 @@ class Tables:
     task made by ``dataclasses.replace`` builds its own).  Lists indexed by
     action or fact id: per action its preconditions (``pres``; the
     artificial fact ``top``, ``len(task.facts)``, true in every state, for
-    a precondition-free action), add effects (``adds``), ``pre_count`` and
-    a unit cost (``unit``); per fact, ``top`` included, the actions that
-    need it (``pre_index``) and that add it (``achievers``), in id order;
+    a precondition-free action), add effects (``adds``) and
+    ``pre_count``; per fact, ``top`` included, the actions that need it
+    (``pre_index``) and that add it (``achievers``), in id order;
     and the int fact masks ``pre_mask``, ``add_mask`` and ``del_mask``,
     without ``top``, in which index ``len(task.actions)`` is the goal
     pseudo-action: it requires the goal and adds and deletes nothing."""
@@ -88,7 +88,6 @@ class Tables:
         self.pres = [sorted(a.pre) or [top] for a in task.actions]
         self.adds = [sorted(a.add) for a in task.actions]
         self.pre_count = [len(pre) for pre in self.pres]
-        self.unit = [1] * len(task.actions)
         self.pre_index = [[] for _ in range(top + 1)]
         self.achievers = [[] for _ in range(top + 1)]
         for aid, (pre, add) in enumerate(zip(self.pres, self.adds)):

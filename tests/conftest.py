@@ -61,6 +61,32 @@ def random_unary_task(seed, max_facts=8, max_actions=10):
     return make_task(facts, actions, init, goal, name=f"unary-{seed}")
 
 
+def random_shared_enabler_task(seed, max_enablers=4, max_goals=4):
+    """Random task whose goal facts have several achievers each, which
+    share enabler preconditions: a shortest relaxed plan picks the
+    enablers that serve the most goals, a choice that LM-cut's cuts and
+    h_ff's extraction often miss, so h_plus's hitting-set loop runs."""
+    rng = random.Random(seed)
+    enablers = [f"e{i}" for i in range(rng.randint(2, max_enablers))]
+    goals = [f"g{i}" for i in range(rng.randint(2, max_goals))]
+    base = ["b0", "b1"]
+    facts = base + enablers + goals
+    actions = []
+    for i, e in enumerate(enablers):
+        pre = rng.sample(base + enablers[:i], rng.randint(0, 1))
+        dele = rng.sample(enablers, rng.randint(0, 1))
+        actions.append((f"en{i}", pre, [e], dele))
+    for i, g in enumerate(goals):
+        for j in range(rng.randint(2, 3)):
+            pre = rng.sample(enablers, rng.randint(1, 2))
+            add = [g, *rng.sample(goals, rng.randint(0, 1))]
+            dele = rng.sample(facts, rng.randint(0, 1))
+            actions.append((f"ach{i}-{j}", pre, add, dele))
+    init = rng.sample(base, rng.randint(1, 2))
+    return make_task(facts, actions, init, goals,
+                     name=f"shared-enabler-{seed}")
+
+
 def reachable_states(task, cap=50_000):
     """Plain breadth-first reachability, independent of the library's
     enumeration code, for cross-checks."""

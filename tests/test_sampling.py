@@ -188,6 +188,23 @@ class TestRunExperiment:
         assert rep.rows[0].error is None
         assert rep.rows[1].error.startswith("PreconditionViolated:")
 
+    @pytest.mark.parametrize("bad", [
+        {"samples_per_instance": 0},
+        {"samples_per_instance": -3},
+        {"heuristic": "nope"},
+        {"walk_length_factor": 0},
+        {"walk_length_factor": -1.5},
+        {"walk_length_factor": float("nan")},
+    ], ids=["no-samples", "negative-samples", "unknown-heuristic",
+            "zero-factor", "negative-factor", "nan-factor"])
+    def test_bad_config_raises_before_any_instance(self, monkeypatch, bad):
+        generated = []
+        monkeypatch.setattr(sampling, "generate", generated.append)
+        specs = [GeneratorSpec("gripper", (("balls", 1),), 0)]
+        with pytest.raises(PreconditionViolated):
+            run_experiment(specs, SampleConfig(**bad))
+        assert generated == []
+
     def test_csv_shape(self):
         specs = [GeneratorSpec("movie", (), 0)]
         rep = run_experiment(specs, SampleConfig(samples_per_instance=10))

@@ -10,6 +10,7 @@ from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, h_plus
+from plantopo.pddl import ground, parse_task
 from plantopo.state_space import StateSpace, dead_end_class, enumerate_space, \
     exit_distance, exit_distances, export_dot, plateaus, topology_report
 from plantopo.task_model import make_task
@@ -479,6 +480,22 @@ class TestExportDot:
         text = export_dot(space)
         assert text.startswith("digraph")
         assert "rank" in text
+
+    def test_action_names_are_escaped_in_labels(self):
+        # the PDDL tokenizer takes any run of characters other than
+        # whitespace, parentheses and ";" as a name, quotes included
+        domain = """(define (domain d) (:predicates (at ?x))
+          (:action mv :parameters (?a ?b) :precondition (at ?a)
+           :effect (and (at ?b) (not (at ?a)))))"""
+        problem = r"""(define (problem p) (:domain d)
+          (:objects a"b c\d) (:init (at a"b)) (:goal (at c\d)))"""
+        t = ground(parse_task(domain, problem))
+        text = export_dot(enumerate_space(t, H_FF))
+        assert r'[label="mv(a\"b,c\\d)"];' in text
+        assert r'[label="mv(c\\d,a\"b)"];' in text
+        # outside the escapes, every label's quotes pair up
+        for line in text.splitlines():
+            assert line.replace('\\\\', "").replace('\\"', "").count('"') % 2 == 0
 
     def test_levels_share_ranks(self):
         _, space = space_of("gripper", {"balls": 1})

@@ -157,7 +157,6 @@ def _assert_tables(t):
             achievers[f].append(a.id)
     assert tables.top == top
     assert tables.goal == sorted(t.goal)
-    assert tables.unit == [1] * n
     assert tables.pre_index == pre_index
     assert tables.achievers == achievers
     # the goal pseudo-action: requires the goal, adds and deletes nothing
