@@ -14,8 +14,8 @@ from .errors import NoReferencePlan, ParseError, PlantopoError, \
     PreconditionViolated, ResourceExhausted, Truncated, UnsupportedFeature
 from .task_model import UNDEFINED, Fact, GroundAction, Task, apply, \
     apply_sequence, is_goal, make_task, relax, validate_plan
-from .heuristics import HEURISTICS, INF, RelaxedPlan, RelaxedPlanningGraph, \
-    build_rpg, h_ff, h_goalcount, h_plus, h_plus_oracle
+from .heuristics import HEURISTICS, INF, RelaxedPlan, h_ff, h_goalcount, \
+    h_plus, h_plus_oracle
 from .state_space import Plateau, StateSpace, TopologyReport, dead_end_class, \
     enumerate_space, exit_distance, exit_distances, export_dot, plateaus, \
     topology_report

@@ -44,7 +44,6 @@ class MutexTable:
     marked it reachable; the approximation errs only toward "possibly
     consistent".
     """
-    n_facts: int
     reachable_pairs: frozenset      # frozensets {p, q}, p != q
     reachable_facts: frozenset      # fact ids reachable at all
 
@@ -111,7 +110,7 @@ def compute_mutexes(task: Task) -> MutexTable:
                 queue.append(b)
     pairs = frozenset(frozenset((p, q)) for p in range(len(partners))
                       for q in partners[p] if p < q)
-    return MutexTable(len(task.facts), pairs, frozenset(reachable))
+    return MutexTable(pairs, frozenset(reachable))
 
 
 # ---------------------------------------------------------------------------

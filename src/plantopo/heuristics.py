@@ -26,45 +26,8 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 
 
 @dataclass
-class RelaxedPlanningGraph:
-    fact_layers: list        # list of frozenset, monotonically growing
-    action_layers: list      # action_layers[i] = sorted action ids applicable at layer i
-    first_level: dict        # fact id -> first layer index of appearance
-    goal_layer: int | None   # first layer containing the goal, None if never
-
-
-@dataclass
 class RelaxedPlan:
     actions: list            # ordered list of distinct action ids
-
-    @property
-    def length(self):
-        return len(self.actions)
-
-
-def build_rpg(task: Task, s) -> RelaxedPlanningGraph:
-    """Layered delete-free graph from s, up to the first goal layer or, when
-    the goal is unreachable, the fixpoint.
-
-    The layers are read off the unit-cost h_max values over the task's
-    ``tables`` (``levels``): a fact first appears at layer ``val[f]``, and
-    an action is applicable from the layer of its costliest precondition
-    on."""
-    tables = task.tables
-    val, supp = levels(tables, s)
-    goal_layer = max((val[g] for g in tables.goal), default=0)
-    if goal_layer == INF:
-        goal_layer = None
-        last = max(v for v in val if v != INF)
-        n_action_layers = last + 1      # the last one adds nothing new
-    else:
-        last = n_action_layers = goal_layer
-    first_level = {f: v for f, v in enumerate(val[:tables.top]) if v <= last}
-    fact_layers = [frozenset(f for f, v in first_level.items() if v <= i)
-                   for i in range(last + 1)]
-    action_layers = [[aid for aid, p in enumerate(supp) if p >= 0 and val[p] <= i]
-                     for i in range(n_action_layers)]
-    return RelaxedPlanningGraph(fact_layers, action_layers, first_level, goal_layer)
 
 
 def h_goalcount(task: Task, s):
@@ -237,7 +200,7 @@ def h_ff(task: Task, s, tie_break=None):
 
     Backward extraction from the first goal layer of the relaxed planning
     graph, whose layers are the unit-cost h_max values over the task's
-    ``tables`` (see ``build_rpg``).  An open goal at layer i is
+    ``tables`` (see ``levels``).  An open goal at layer i is
     satisfied by a no-op whenever it already appears at layer i-1;
     otherwise by an achiever applicable at layer i-1 minimizing the summed
     first-appearance layers of its preconditions, ties broken by lowest

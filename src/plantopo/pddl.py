@@ -365,9 +365,11 @@ def _validate_lifted(lifted: LiftedTask):
     parent declared for the root type ``object`` (the cycle walk stops at
     ``object``, so it would be ignored), an undeclared type, predicate,
     variable or constant, an arity mismatch, a term whose type is not its
-    predicate parameter's type or below it, or an object or constant name
-    with a comma (ground atom names join their arguments with commas, so
-    objects a,b c and a b,c would name one fact)."""
+    predicate parameter's type or below it, an action parameter named twice
+    (grounding binds the name once, so one argument would be ignored), or
+    an object or constant name with a comma (ground atom names join their
+    arguments with commas, so objects a,b c and a b,c would name one
+    fact)."""
     if lifted.types.get("object", "object") != "object":
         raise ParseError(f"type object is the root type; it cannot be a "
                          f"{lifted.types['object']}")
@@ -391,6 +393,11 @@ def _validate_lifted(lifted: LiftedTask):
     for what, t in typed:
         if t not in known_types:
             raise ParseError(f"undeclared type {t} of {what}")
+    for sch in lifted.schemata:
+        names = [v for v, _ in sch.params]
+        for v in names:
+            if names.count(v) > 1:
+                raise ParseError(f"parameter {v} repeated in action {sch.name}")
 
     def term_type(term, params, where):
         if term.startswith("?"):

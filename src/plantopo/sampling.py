@@ -152,19 +152,21 @@ def run_experiment(specs: list, cfg: SampleConfig) -> SampleReport:
     and aggregate means per (domain, parameters) group.  One heuristic memo
     serves each instance's valley tests, heuristic values and exit-distance
     searches, so each distinct state of an instance is evaluated once.
-    A config with an unknown heuristic, fewer than one sample per instance
-    or a walk length factor that is not positive raises
-    PreconditionViolated before any instance is generated."""
+    A config with an unknown heuristic, a sample count per instance that
+    is no integer of at least 1, or a walk length factor that is no
+    positive number raises PreconditionViolated before any instance is
+    generated."""
     if cfg.heuristic not in HEURISTICS:
         raise PreconditionViolated(
             f"unknown heuristic {cfg.heuristic!r}; known: "
             + ", ".join(sorted(HEURISTICS)))
-    if cfg.samples_per_instance < 1:
+    n, factor = cfg.samples_per_instance, cfg.walk_length_factor
+    if not isinstance(n, int) or n < 1:
         raise PreconditionViolated(
-            f"samples_per_instance must be at least 1, not {cfg.samples_per_instance}")
-    if not cfg.walk_length_factor > 0:
+            f"samples_per_instance must be an integer of at least 1, not {n!r}")
+    if not isinstance(factor, (int, float)) or not factor > 0:
         raise PreconditionViolated(
-            f"walk_length_factor must be positive, not {cfg.walk_length_factor}")
+            f"walk_length_factor must be a positive number, not {factor!r}")
     heuristic = HEURISTICS[cfg.heuristic]
     report = SampleReport()
     groups = {}

@@ -30,8 +30,6 @@ class _Undefined:
 
 UNDEFINED = _Undefined()
 
-State = frozenset  # alias: a state is a frozenset of fact ids
-
 
 @dataclass(frozen=True)
 class Fact:
@@ -58,7 +56,7 @@ class GroundAction:
 class Task:
     facts: tuple          # tuple of Fact, index == Fact.id
     actions: tuple        # tuple of GroundAction, index == GroundAction.id
-    init: frozenset       # State
+    init: frozenset       # fact ids true initially
     goal: frozenset       # set of fact ids
     name: str = "task"
     fact_by_name: dict = field(default_factory=dict, compare=False, repr=False)

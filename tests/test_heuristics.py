@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from plantopo import heuristics
 from plantopo.errors import ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF, _pruned_plan, build_rpg, \
-    h_ff, h_goalcount, h_plus, h_plus_oracle
+from plantopo.heuristics import HEURISTICS, INF, _pruned_plan, h_ff, \
+    h_goalcount, h_plus, h_plus_oracle, levels
 from plantopo.state_space import enumerate_space
 from plantopo.task_model import make_task, validate_plan
 
@@ -401,33 +401,57 @@ class TestOracle:
             h_plus_oracle(transport_task, frozenset(transport_task.init), budget=1)
 
 
+def _goal_layer(t, s):
+    """The first layer of ``levels`` from s that holds the goal: the highest
+    value over the goal, INF when the goal is unreachable."""
+    val, _ = levels(t.tables, s)
+    return max((val[g] for g in t.tables.goal), default=0)
+
+
+def _fact_layer(t, val, i):
+    """Layer i of the relaxed planning graph: the facts of value at most i."""
+    return frozenset(f for f, v in enumerate(val[:t.tables.top]) if v <= i)
+
+
 class TestRpg:
+    """The relaxed planning graph is ``levels``: fact f is in layer i when
+    val[f] <= i, and action aid applies from layer val[supp[aid]] on."""
+
     def test_shared_enabler_layers(self, shared_enabler_task):
         t = shared_enabler_task
-        rpg = build_rpg(t, frozenset())
-        layer_names = [sorted(t.facts[f].name for f in layer)
-                       for layer in rpg.fact_layers]
+        val, _ = levels(t.tables, frozenset())
+        layer_names = [sorted(t.facts[f].name for f in _fact_layer(t, val, i))
+                       for i in range(3)]
         assert layer_names == [[], ["p", "p2"], ["g1", "g2", "p", "p2"]]
-        assert rpg.goal_layer == 2
+        assert _goal_layer(t, frozenset()) == 2
 
     def test_goal_state_stops_immediately(self, transport_task):
         t = transport_task
         s = frozenset(t.goal) | frozenset(t.init)
-        rpg = build_rpg(t, s)
-        assert rpg.goal_layer == 0
-        assert rpg.action_layers == []
+        assert _goal_layer(t, s) == 0
+        # no action layer lies below the goal layer, so none is selected
+        assert h_ff(t, s)[1].actions == []
 
     def test_dead_fixpoint_misses_goal(self):
         t = make_task(["p", "g"], [("a", ["p"], ["g"], [])], [], ["g"])
-        rpg = build_rpg(t, frozenset())
-        assert rpg.goal_layer is None
+        assert _goal_layer(t, frozenset()) == INF
 
     def test_layers_grow_monotonically(self):
+        # every layer up to the fixpoint adds a fact, and a fact not in the
+        # state enters one layer after its first achiever applies
         for seed in range(20):
             t = random_task(seed)
-            rpg = build_rpg(t, frozenset(t.init))
-            for lo, hi in zip(rpg.fact_layers, rpg.fact_layers[1:]):
-                assert lo <= hi
+            s = frozenset(t.init)
+            val, supp = levels(t.tables, s)
+            last = max(v for v in val if v < INF)
+            layers = [_fact_layer(t, val, i) for i in range(last + 1)]
+            for lo, hi in zip(layers, layers[1:]):
+                assert lo < hi
+            for f in range(t.tables.top):
+                if f not in s:
+                    assert val[f] == min((val[supp[aid]] + 1
+                                          for aid in t.tables.achievers[f]
+                                          if supp[aid] >= 0), default=INF)
 
 
 def _reference_rpg(task, s):
@@ -522,40 +546,43 @@ def _recording(pick):
     return tie_break, calls
 
 
-def _assert_extraction_invariants(action_layers, plan):
+def _assert_extraction_invariants(val, supp, plan):
     """Each action of an ``h_ff`` plan is distinct, and its first applicable
     layer plus 1 (the layer it was chosen at) never falls along the plan."""
     if plan is None:
         return
     assert len(set(plan.actions)) == len(plan.actions)
-    first = {}
-    for i, layer in enumerate(action_layers):
-        for aid in layer:
-            first.setdefault(aid, i)
-    chosen_at = [first[aid] + 1 for aid in plan.actions]
+    chosen_at = [val[supp[aid]] + 1 for aid in plan.actions]
     assert chosen_at == sorted(chosen_at)
 
 
 def _assert_matches_reference(t, s, pulled=None):
-    rpg = build_rpg(t, s)
-    assert (rpg.fact_layers, rpg.action_layers, rpg.first_level,
-            rpg.goal_layer) == _reference_rpg(t, s)
+    val, supp = levels(t.tables, s)
+    fact_layers, action_layers, first_level, goal_layer = _reference_rpg(t, s)
+    m = _goal_layer(t, s)
+    assert m == (INF if goal_layer is None else goal_layer)
+    assert {f: v for f, v in enumerate(val[:t.tables.top])
+            if v <= m and v < INF} == first_level
+    assert fact_layers == [_fact_layer(t, val, i) for i in range(len(fact_layers))]
+    assert action_layers == [[aid for aid, p in enumerate(supp) if p >= 0 and val[p] <= i]
+                             for i in range(len(action_layers))]
     value, plan = h_ff(t, s)
     assert (value, plan and plan.actions) == _reference_h_ff(t, s, pulled=pulled)
-    _assert_extraction_invariants(rpg.action_layers, plan)
+    _assert_extraction_invariants(val, supp, plan)
     for pick in (min, max):
         lib_tb, lib_calls = _recording(pick)
         ref_tb, ref_calls = _recording(pick)
         value, plan = h_ff(t, s, tie_break=lib_tb)
         assert (value, plan and plan.actions) == _reference_h_ff(t, s, ref_tb, pulled)
         assert lib_calls == ref_calls
-        _assert_extraction_invariants(rpg.action_layers, plan)
+        _assert_extraction_invariants(val, supp, plan)
     return len(lib_calls)
 
 
 class TestRpgFromLevels:
-    """``build_rpg`` and ``h_ff`` read their layers off the unit-cost
-    h_max over the task's tables; they must equal the layer-by-layer definition."""
+    """``levels`` and ``h_ff`` give the relaxed planning graph as the
+    unit-cost h_max over the task's tables; it must equal the layer-by-layer
+    definition."""
 
     def test_goal_in_state(self, transport_task):
         t = transport_task
@@ -564,13 +591,13 @@ class TestRpgFromLevels:
     def test_unreachable_goal(self):
         t = make_task(["p", "q", "g"], [("a", [], ["q"], []),
                                         ("b", ["p"], ["g"], [])], [], ["g"])
-        assert build_rpg(t, frozenset()).goal_layer is None
+        assert _goal_layer(t, frozenset()) == INF
         _assert_matches_reference(t, frozenset())
 
     def test_empty_goal(self):
         t = make_task(["p"], [("a", [], ["p"], [])], [], [])
         _assert_matches_reference(t, frozenset())
-        assert build_rpg(t, frozenset()).goal_layer == 0
+        assert _goal_layer(t, frozenset()) == 0
         assert h_ff(t, frozenset())[0] == 0
         assert h_plus(t, frozenset()) == h_plus_oracle(t, frozenset()) == 0
 
@@ -601,7 +628,7 @@ class TestRpgFromLevels:
             for _ in range(3):
                 s = random_walk_state(t, rng)
                 ties += _assert_matches_reference(t, s, pulled)
-                unreachable += build_rpg(t, s).goal_layer is None
+                unreachable += _goal_layer(t, s) == INF
         assert ties > 50 and unreachable > 50
         assert pulled == [], _NOTHING_PULLED_FORWARD
 
@@ -655,7 +682,7 @@ class TestHff:
             value, plan = h_ff(t, s)
             if value == INF:
                 continue
-            assert len(plan.actions) == value == plan.length
+            assert len(plan.actions) == value
             assert len(set(plan.actions)) == len(plan.actions)
             assert validate_plan(t, [t.actions[a] for a in plan.actions],
                                  relaxed=True, start=s)

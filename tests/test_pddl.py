@@ -148,9 +148,10 @@ class TestParse:
         ("(and (at-robby ?from)", "(and (at-robby nowhere)"),
         ("(and (at-robby ?to)", "(and (at-robby nowhere)"),
         ("?from ?to - room", "?from ?to - rooom"),
+        ("?from ?to - room", "?from ?to ?to - room"),
     ], ids=["neq-free-variable", "eq-free-variable", "neq-unknown-constant",
             "pre-unknown-constant", "add-unknown-constant",
-            "parameter-undeclared-type"])
+            "parameter-undeclared-type", "parameter-repeated"])
     def test_gripper_move_rejects_what_would_ground_wrong(self, old, new):
         dom, prob = (DATA / "gripper2-domain.pddl").read_text(), \
             (DATA / "gripper2-problem.pddl").read_text()
