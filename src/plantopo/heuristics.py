@@ -121,16 +121,33 @@ def _lower(tables: Tables, val, supp, freed, cut):
         d += 1
 
 
-def _cut(tables: Tables, val, supp, limit=INF):
+def _cut(tables: Tables, val, supp, limit=INF, seed=()):
     """LM-cut rounds from the ``levels`` output ``val``/``supp``, which
     they consume.  Returns the cuts in the order found, each a sorted list
     of action ids; they are pairwise disjoint, every relaxed plan uses an
     action of each, and there are none when the goal holds in the state or
     is unreachable.  The rounds stop as soon as there are ``limit`` cuts:
-    fewer than ``limit`` cuts are all of them."""
+    fewer than ``limit`` cuts are all of them.
+
+    ``seed`` holds pairwise disjoint landmarks of the state, each a sorted
+    list of action ids, such as a predecessor's cuts (see
+    ``h_plus_column``).  Their members that ``levels`` left unreached are
+    dropped, since no relaxed plan uses them; the rest are freed in one
+    ``_lower`` call and come first among the cuts.  A round never cuts a
+    freed action, so the cuts stay pairwise disjoint."""
     achievers = tables.achievers
     freed = [False] * len(supp)
     cuts = []
+    if seed:
+        members = []
+        for cut in seed:
+            cuts.append([aid for aid in cut if supp[aid] >= 0])
+            if len(cuts) >= limit:
+                return cuts
+            members += cuts[-1]
+        for aid in members:
+            freed[aid] = True
+        _lower(tables, val, supp, freed, members)
     while True:
         gc, gf = max(((val[g], g) for g in tables.goal), default=(0, -1))
         if gc == 0:
@@ -481,20 +498,39 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     is returned as soon as the incumbent meets ``lower``.  With a valid
     bound the value is the same as without it; only the work shrinks.
     """
+    return _h_plus(task, s, budget, lower, ())[0]
+
+
+def _h_plus(task: Task, s, budget, lower, seed):
+    """``h_plus`` whose root LM-cut starts from the landmarks ``seed`` of s
+    (see ``_cut``).  Returns (value, cuts): pairwise disjoint landmarks of
+    s, as sorted lists of action ids, to pass on to successors.  A return
+    before the rounds passes on ``seed``.
+
+    A seed can steer the rounds to fewer cuts than a fresh root finds.  So
+    when a seeded root leaves the loop to run, the unseeded rounds run once
+    too: the value is ``best`` if they meet it, and otherwise their cuts
+    join the loop's landmarks and are passed on when they are more."""
     tables = task.tables
     val, supp = levels(tables, s)
     best, plan = _relaxed_plan(task, val, supp)
-    if best == INF:
-        return INF
-    if best <= lower:
-        return best
-    cuts = _cut(tables, val, supp, best)
+    if best == INF or best <= lower:
+        return best, seed
+    cuts = _cut(tables, val, supp, best, seed)
     if len(cuts) >= best:
-        return best
+        return best, cuts
     best = len(_pruned_plan(tables, s, plan.actions))
     if len(cuts) >= best or best <= lower:
-        return best
+        return best, cuts
     landmarks = [sum(1 << aid for aid in cut) for cut in cuts]
+    if seed:
+        fresh = _cut(tables, *levels(tables, s), best)
+        if len(fresh) >= best:
+            return best, fresh
+        landmarks = list(dict.fromkeys(
+            landmarks + [sum(1 << aid for aid in cut) for cut in fresh]))
+        if len(fresh) > len(cuts):
+            cuts = fresh
     nodes = 1
     while True:
         allowance = INF if budget is None else budget - nodes
@@ -503,14 +539,44 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
         if n > allowance:
             raise ResourceExhausted(f"h_plus budget of {budget} nodes exceeded")
         if hit is None:
-            return best
+            return best, cuts
         landmark = _landmark(tables, s, hit)
         if landmark is None:
             best = hit.bit_count()
             if best <= lower:
-                return best
+                return best, cuts
         else:
             landmarks.append(landmark)
+
+
+def h_plus_column(task: Task, states, transitions) -> list:
+    """``h_plus`` of every state of a space, in id order;
+    ``transitions[sid]`` lists the (action id, successor id) pairs of state
+    sid.  The values are the same as from plain calls.
+
+    Each state passes bounds on to its successors of higher id.  For a
+    transition p -> s by action a, a followed by a relaxed plan for s is a
+    relaxed plan for p.  So h+(s) >= h+(p) - 1, which is passed on as
+    ``lower``, and every relaxed landmark of p that misses a is one of s.
+    The cuts of p's root LM-cut that miss a are the seed of s's root
+    (Pommerening & Helmert, ICAPS 2013): s keeps those of the predecessor
+    with the most of them, the first in id order on a tie, until it is
+    evaluated.  The landmarks the hitting-set loop adds are not passed on."""
+    lower = [0] * len(states)
+    seeds = [()] * len(states)
+    h = []
+    for sid, s in enumerate(states):
+        value, cuts = _h_plus(task, s, None, lower[sid], seeds[sid])
+        seeds[sid] = ()
+        h.append(value)
+        for aid, nid in transitions[sid]:
+            if nid > sid:
+                if value - 1 > lower[nid]:
+                    lower[nid] = value - 1
+                kept = [cut for cut in cuts if aid not in cut]
+                if len(kept) > len(seeds[nid]):
+                    seeds[nid] = kept
+    return h
 
 
 def h_ff_value(task: Task, s):

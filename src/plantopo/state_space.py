@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ResourceExhausted
-from .heuristics import INF, format_value, h_plus
+from .heuristics import INF, format_value, h_plus, h_plus_column
 from .task_model import Task, is_goal, successors
 
 PLATEAU_RECOGNIZED_DEAD_END = "RecognizedDeadEnd"
@@ -82,8 +82,10 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     is also recorded in its target's predecessor list, which the space
     keeps; goal distances come from a backward breadth-first search over
     those lists from all goal states.  ``h_plus`` itself is evaluated
-    with lower bounds from its predecessors (``_h_plus_column``); the
-    values are the same as from plain calls.
+    along the transitions (``heuristics.h_plus_column``): each state's call
+    takes a lower bound from its evaluated predecessors and starts its
+    root LM-cut from the cuts of one of them.  The values are the same as
+    from plain calls.
     """
     init = frozenset(task.init)
     states = [init]
@@ -111,7 +113,7 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
         transitions.append(succs)
 
     if heuristic is h_plus:
-        h = _h_plus_column(task, states, preds)
+        h = h_plus_column(task, states, transitions)
     else:
         h = [heuristic(task, s) for s in states]
 
@@ -136,19 +138,6 @@ def _distances_to(preds, targets) -> list:
                 dist[pid] = d
                 queue.append(pid)
     return dist
-
-
-def _h_plus_column(task: Task, states, preds) -> list:
-    """``h_plus`` of every state, in id order (breadth-first order), each
-    call bounded below by the predecessors already evaluated.  For a
-    transition p -> s, h+(p) <= 1 + h+(s): the transition's action followed
-    by a relaxed plan for s is a relaxed plan for p.  So a state's value is
-    at least h(p) - 1 for each predecessor p, and at least 0."""
-    h = []
-    for sid, s in enumerate(states):
-        lower = max([0, *(h[p] - 1 for p in preds[sid] if p < sid)])
-        h.append(h_plus(task, s, lower=lower))
-    return h
 
 
 def dead_end_class(space: StateSpace) -> str:

@@ -14,7 +14,7 @@ from plantopo.generators import GeneratorSpec, generate
 from plantopo.heuristics import HEURISTICS, INF, _pruned_plan, h_ff, \
     h_goalcount, h_plus, h_plus_oracle, levels
 from plantopo.state_space import enumerate_space
-from plantopo.task_model import make_task, validate_plan
+from plantopo.task_model import make_task, successors, validate_plan
 
 from conftest import random_shared_enabler_task, random_single_achiever_task, \
     random_task, random_unary_task, random_walk_state, reachable_states
@@ -25,10 +25,10 @@ from conftest import random_shared_enabler_task, random_single_achiever_task, \
 ORACLE_TASKS = st.sampled_from([random_task, random_shared_enabler_task])
 
 
-def rounds(tables, s, limit=INF):
+def rounds(tables, s, limit=INF, seed=()):
     """LM-cut from state s: one unit-cost h_max exploration, then the cut
-    rounds.  Returns the cuts."""
-    return heuristics._cut(tables, *heuristics.levels(tables, s), limit)
+    rounds, from the landmarks ``seed`` of s freed.  Returns the cuts."""
+    return heuristics._cut(tables, *heuristics.levels(tables, s), limit, seed)
 
 
 def _counted_searches(monkeypatch):
@@ -140,8 +140,9 @@ class TestHPlus:
     def test_explorations_per_state(self, monkeypatch, family, cap,
                                     landmark_cap):
         # counts work rather than timing it: one h_max exploration for the
-        # root of each state, and for each hard state (one whose root
-        # leaves the hitting-set loop to run) the landmarks the loop adds
+        # root of each state (two where a root that inherits cuts reaches
+        # the loop), and for each hard state (one whose root leaves the
+        # hitting-set loop to run) the landmarks the loop adds
         t = generate(GeneratorSpec(family, {"n": 4}, 0))
         calls = [0]
         explore = heuristics.levels
@@ -218,6 +219,35 @@ class TestHPlus:
                     on_random += len(new)
         assert on_random > 20 and added > 150
 
+    def test_inherited_cuts_are_landmarks(self, monkeypatch):
+        # every cut the h column passes on is a landmark of the state that
+        # inherits it: the actions outside it do not reach the goal.  The
+        # inherited cuts, and the cuts each state passes on in turn, are
+        # pairwise disjoint
+        calls = []
+        solve = heuristics._h_plus
+
+        def recorded(task, s, budget, lower, seed):
+            value, cuts = solve(task, s, budget, lower, seed)
+            calls.append((s, seed, cuts))
+            return value, cuts
+
+        monkeypatch.setattr(heuristics, "_h_plus", recorded)
+        inherited = 0
+        for seed in range(300):
+            for t in (random_task(seed), random_shared_enabler_task(seed)):
+                actions = set(range(len(t.actions)))
+                calls.clear()
+                enumerate_space(t, h_plus)
+                for s, seed_cuts, cuts in calls:
+                    for family in (seed_cuts, cuts):
+                        members = [a for cut in family for a in cut]
+                        assert len(members) == len(set(members))
+                        for cut in family:
+                            assert not _relaxed_reaches(t, s, actions - set(cut))
+                    inherited += len(seed_cuts)
+        assert inherited > 10000
+
 
 def _h_max_by_value_iteration(task, s, cost):
     """Fact values and, per action, its maximum precondition value (0
@@ -243,9 +273,12 @@ def _h_max_by_value_iteration(task, s, cost):
 class TestLandmarkCutter:
     def test_incremental_h_max_matches_fresh_exploration(self, monkeypatch):
         # after the exploration every action costs 1; after each cut the
-        # actions of all cuts so far (freed) cost 0
+        # actions of all cuts so far (freed) cost 0.  A seeded call frees
+        # all its seed's cuts at once: those of a predecessor that miss the
+        # transition's action
         rng = random.Random(11)
         cuts = [0]
+        bulk = 0
         explore, lower = heuristics.levels, heuristics._lower
 
         def check(t, s, cost, val, supp):
@@ -272,8 +305,27 @@ class TestLandmarkCutter:
             for t in (random_task(seed), random_shared_enabler_task(seed)):
                 for _ in range(3):
                     s = random_walk_state(t, rng)
-                    rounds(t.tables, s)
-        assert cuts[0] > 500
+                    found = rounds(t.tables, s)
+                    steps = list(successors(t, s))
+                    if not steps:
+                        continue
+                    a, s = rng.choice(steps)
+                    inherited = [cut for cut in found if a.id not in cut]
+                    found = rounds(t.tables, s, INF, inherited)
+                    members = [aid for cut in found for aid in cut]
+                    assert len(members) == len(set(members))
+                    assert all(set(cut) <= set(old) for cut, old in zip(found, inherited))
+                    bulk += len(inherited) > 1
+        assert cuts[0] > 500 and bulk > 200
+        # b adds both goal facts but needs q, which nothing adds: b is
+        # dropped from the seed {a, b}, not freed at val[-1], the
+        # artificial fact's 0, which would put h at 0 and leave c uncut
+        t = make_task(["q", "g", "h"], [("a", [], ["g"], []),
+                                        ("b", ["q"], ["g", "h"], []),
+                                        ("c", [], ["h"], [])], [], ["g", "h"])
+        s = frozenset()
+        a, b, c = (t.action_by_name[name] for name in "abc")
+        assert rounds(t.tables, s, INF, [[a, b]]) == [[a], [c]]
 
     def test_rounds_stop_at_the_limit(self):
         # the rounds stop at the cut that reaches the limit, or at the
