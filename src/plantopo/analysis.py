@@ -22,7 +22,6 @@ from .task_model import GroundAction, Task
 UNKNOWN = "Unknown"
 
 CONFLICT_ALLIED = "Allied"
-CONFLICT_ANCESTOR_DELETE = "AncestorDelete"
 CONFLICT_GOAL_DELETE = "GoalDelete"
 
 VERDICT_HPLUS_EQUALS_GD = "HplusEqualsGd"
@@ -44,13 +43,13 @@ class MutexTable:
     marked it reachable; the approximation errs only toward "possibly
     consistent".
     """
-    reachable_pairs: frozenset      # frozensets {p, q}, p != q
+    partners: tuple                 # fact id -> frozenset of its reachable partners
     reachable_facts: frozenset      # fact ids reachable at all
 
     def inconsistent(self, p: int, q: int) -> bool:
         if p == q:
             return p not in self.reachable_facts
-        return frozenset((p, q)) not in self.reachable_pairs
+        return q not in self.partners[p]
 
 
 def compute_mutexes(task: Task) -> MutexTable:
@@ -108,9 +107,7 @@ def compute_mutexes(task: Task) -> MutexTable:
             if not queued[b]:
                 queued[b] = True
                 queue.append(b)
-    pairs = frozenset(frozenset((p, q)) for p in range(len(partners))
-                      for q in partners[p] if p < q)
-    return MutexTable(pairs, frozenset(reachable))
+    return MutexTable(tuple(map(frozenset, partners)), frozenset(reachable))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,6 @@ def action_flags(task: Task, mx: MutexTable) -> list:
 
 @dataclass
 class AnalysisReport:
-    mutexes: MutexTable
     flags: list
     lemma1: bool                      # all actions invertible
     lemma2: bool                      # inverses or harmless effects everywhere
@@ -193,8 +189,7 @@ class AnalysisReport:
 
 
 def check_lemmas(task: Task) -> AnalysisReport:
-    mx = compute_mutexes(task)
-    flags = action_flags(task, mx)
+    flags = action_flags(task, compute_mutexes(task))
     lemma1 = all(f.invertible is not None for f in flags)
     lemma2 = all(f.at_least_invertible is not None
                  or (f.static_add_effects and not f.relevant_delete_effects)
@@ -202,7 +197,7 @@ def check_lemmas(task: Task) -> AnalysisReport:
     prop2 = all(len(ids) <= 1 for ids in task.tables.achievers)
     prop3 = len(task.goal) <= 1 and all(len(a.pre) <= 1 for a in task.actions)
     prop4 = prop3 and all(a.delete <= a.pre for a in task.actions)
-    return AnalysisReport(mx, flags, lemma1, lemma2, prop2, prop3, prop4)
+    return AnalysisReport(flags, lemma1, lemma2, prop2, prop3, prop4)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def h_goalcount(task: Task, s):
 # costliest goal fact through supporter steps of freed actions (those in
 # an earlier cut, now of cost 0), and cuts the other achievers of zone
 # facts whose supporter lies outside the zone.  Every relaxed plan must use
-# an action of each cut, so the number of cuts is an admissible lower bound
+# an action of each cut, so the number of cuts is an admissible estimate
 # that dominates h_max.  After a cut only the cut actions got cheaper, so
 # ``_lower`` propagates the decrease from them and recomputes the maximum
 # of an action only when its supporter got cheaper.
@@ -227,7 +227,7 @@ def h_ff(task: Task, s, tie_break=None):
     selected at the same layer need no achiever of their own.  An achiever
     chosen at layer i first applies at layer i-1, so each action is chosen
     once, at its first layer plus one, and the plan lists the layers in
-    order; no selection is ever pulled forward to a lower layer.
+    order; no selection is ever pulled forward to an earlier layer.
     """
     val, supp = levels(task.tables, s)
     return _relaxed_plan(task, val, supp, tie_break)
@@ -237,7 +237,7 @@ def _relaxed_plan(task: Task, val, supp, tie_break=None):
     """``h_ff``'s extraction over ``levels`` output (val, supp).
 
     An open goal g at layer i with val[g] == i takes an achiever whose layer
-    is exactly i-1 (a lower one would put g below i), and that selection
+    is exactly i-1 (an earlier one would put g below i), and that selection
     stamps all its adds at layer i, so it is never chosen again.  The
     artificial precondition of a precondition-free action has layer 0 and
     is passed down as a no-op."""
@@ -292,8 +292,7 @@ def _pruned_plan(tables: Tables, s, plan):
     reach the goal from s in the delete-relaxed fixpoint; no single action
     can be dropped from the result, which need not be minimum.  Each test
     counts down the preconditions missing in s of every kept action, over
-    the plan's own index of them.  Returns the kept actions in an order in
-    which they apply one after another."""
+    the plan's own index of them.  Returns the kept actions in plan order."""
     s = frozenset(s)
     pres, adds = tables.pres, tables.adds
     missing = []                    # plan position -> preconditions not in s
@@ -307,34 +306,26 @@ def _pruned_plan(tables: Tables, s, plan):
         missing.append(m)
     open_goals = [g for g in tables.goal if g not in s]
 
-    def fired(keep):
-        """The kept actions in firing order if they reach the goal, else None."""
+    def reaches(keep):
+        """Whether the kept actions reach the goal from s."""
         left = missing[:]
         stack = [i for i, k in enumerate(keep) if k and not left[i]]
-        order = []
         reached = set()
         while stack:
-            i = stack.pop()
-            order.append(plan[i])
-            for f in adds[plan[i]]:
+            for f in adds[plan[stack.pop()]]:
                 if f not in s and f not in reached:
                     reached.add(f)
                     for j in users.get(f, ()):
                         left[j] -= 1
                         if not left[j] and keep[j]:
                             stack.append(j)
-        return order if all(g in reached for g in open_goals) else None
+        return all(g in reached for g in open_goals)
 
     keep = [True] * len(plan)
-    order = plan
     for i in range(len(plan) - 1, -1, -1):
         keep[i] = False
-        rest = fired(keep)
-        if rest is None:
-            keep[i] = True
-        else:
-            order = rest
-    return order
+        keep[i] = not reaches(keep)
+    return [aid for aid, k in zip(plan, keep) if k]
 
 
 def _hitting_set(landmarks, size, allowance=INF):
@@ -466,7 +457,7 @@ def _landmark(tables: Tables, s, hit):
     return landmark
 
 
-def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
+def h_plus(task: Task, s, budget: int | None = None):
     """Exact optimal relaxed-plan length: a root of cheap bounds, then an
     implicit hitting set over relaxed landmarks (Bonet & Helmert, ECAI
     2010; Haslum, Slaney & Thiebaux, ICAPS 2012).
@@ -474,9 +465,9 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     The root explores once at unit costs (``levels``): h_ff's relaxed plan
     is extracted from those levels, and the LM-cut rounds (``_cut``)
     continue from them.  The incumbent is h_ff, and it is the value when
-    the LM-cut bound, the number of cuts, meets it.  Otherwise it is lowered to the length of
-    h_ff's plan less its redundant actions (``_pruned_plan``), which is
-    the value when the bound meets that.
+    the LM-cut bound, the number of cuts, meets it.  Otherwise it is
+    lowered to the length of h_ff's plan less its redundant actions
+    (``_pruned_plan``), which is the value when the bound meets that.
 
     Otherwise the loop runs.  Its landmarks (sets of actions every relaxed
     plan uses one of) start as the root's cuts, which are pairwise
@@ -491,21 +482,22 @@ def h_plus(task: Task, s, budget: int | None = None, *, lower=0):
     ``budget`` bounds the work: the root counts as one unit and each
     hitting-set search node as one more, so a root that closes never
     raises ``ResourceExhausted``.  Agrees with h_plus_oracle everywhere.
-
-    ``lower`` is a known lower bound on the value, such as a predecessor
-    gives: for a transition p -> s by action a, h+(p) <= 1 + h+(s), since
-    a followed by a relaxed plan for s is a relaxed plan for p.  The value
-    is returned as soon as the incumbent meets ``lower``.  With a valid
-    bound the value is the same as without it; only the work shrinks.
     """
-    return _h_plus(task, s, budget, lower, ())[0]
+    return _h_plus(task, s, budget, 0, ())[0]
 
 
 def _h_plus(task: Task, s, budget, lower, seed):
-    """``h_plus`` whose root LM-cut starts from the landmarks ``seed`` of s
-    (see ``_cut``).  Returns (value, cuts): pairwise disjoint landmarks of
-    s, as sorted lists of action ids, to pass on to successors.  A return
-    before the rounds passes on ``seed``.
+    """``h_plus`` with a known lower bound ``lower`` on the value and a
+    root LM-cut that starts from the landmarks ``seed`` of s (see
+    ``_cut``).  Returns (value, cuts): pairwise disjoint landmarks of s, as
+    sorted lists of action ids, to pass on to successors.  A return before
+    the rounds passes on ``seed``.
+
+    The value is returned as soon as the incumbent meets ``lower``.  A
+    predecessor gives such a bound: for a transition p -> s by action a,
+    h+(p) <= 1 + h+(s), since a followed by a relaxed plan for s is a
+    relaxed plan for p.  With a valid bound the value is the same as
+    without it; only the work shrinks.
 
     A seed can steer the rounds to fewer cuts than a fresh root finds.  So
     when a seeded root leaves the loop to run, the unseeded rounds run once

@@ -321,7 +321,10 @@ def parse_task(domain_text: str, problem_text: str) -> LiftedTask:
         if head == "problem":
             problem_name = _name_of(section, "(problem ...)")
         elif head == ":domain":
-            pass
+            name = _name_of(section, "(:domain ...)")
+            if domain_name is not None and name != domain_name:
+                raise ParseError(f"problem is for domain {name}, not {domain_name}",
+                                 *_where(section))
         elif head == ":objects":
             for name, t in _parse_typed_list(section[1:], "object"):
                 _declare(objects, name, t, "object", constants)

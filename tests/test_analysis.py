@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plantopo import analysis
-from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_ANCESTOR_DELETE, \
+from plantopo.analysis import CONFLICT_ALLIED, CONFLICT_GOAL_DELETE, \
     Conflict, UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
     VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
     action_flags, analyze_task, build_fgt, check_lemmas, compute_mutexes, \
@@ -225,7 +225,10 @@ class TestMutexes:
             tasks += [random_task(seed), random_task(seed, max_facts=16, max_actions=24)]
         for t in tasks:
             mx = compute_mutexes(t)
-            assert (mx.reachable_pairs, mx.reachable_facts) == _reference_mutexes(t)
+            pairs = [(p, q) for p, qs in enumerate(mx.partners) for q in qs]
+            assert all(p in mx.partners[q] for p, q in pairs)     # symmetric
+            assert ({frozenset(pair) for pair in pairs}, mx.reachable_facts) == \
+                _reference_mutexes(t)
 
     def test_transport_vehicle_position(self, transport_task):
         t = transport_task
@@ -495,7 +498,7 @@ class TestRepairable:
 
     def test_other_kinds_stay_unknown(self, toll_graph_task):
         t = toll_graph_task
-        c = Conflict(CONFLICT_ANCESTOR_DELETE, (1,),
+        c = Conflict(CONFLICT_GOAL_DELETE, (1,),
                      (t.action_by_name["mv-d-c"],), t.fact_by_name["at(d)"])
         assert repairable(c, t) is UNKNOWN
 

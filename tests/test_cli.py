@@ -315,6 +315,7 @@ class TestErrorBoundary:
                                     # the second time below room
     ROOTED = "<rooted.pddl>"        # gripper domain giving the root type
                                     # object a parent, room
+    ELSEWHERE = "<elsewhere.pddl>"  # gripper problem for the domain ferry
 
     @pytest.mark.parametrize("args", [
         ["gen", "--domain", "gripper", "--param", "balls=0"],
@@ -334,12 +335,14 @@ class TestErrorBoundary:
         ["gen", "--domain", "logistics", "--param", "size=1"],
         ["parse", RETYPED, str(DATA / "gripper2-problem.pddl")],
         ["parse", ROOTED, str(DATA / "gripper2-problem.pddl")],
+        ["parse", str(DATA / "gripper2-domain.pddl"), ELSEWHERE],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
             "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
             "parse-free-variable", "parse-ill-typed-init",
             "parse-comma-in-object-name", "gen-logistics-one-location",
-            "parse-conflicting-type-declarations", "parse-parent-of-object"])
+            "parse-conflicting-type-declarations", "parse-parent-of-object",
+            "parse-problem-for-another-domain"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")
@@ -361,12 +364,16 @@ class TestErrorBoundary:
         rooted.write_text((DATA / "gripper2-domain.pddl").read_text().replace(
             "(:types room ball gripper)",
             "(:types room ball gripper - object object - room)"))
+        elsewhere = tmp_path / "elsewhere.pddl"
+        elsewhere.write_text((DATA / "gripper2-problem.pddl").read_text().replace(
+            "(:domain gripper)", "(:domain ferry)"))
         args = [str(bad) if a == self.BAD else
                 str(free) if a == self.FREE else
                 str(ill_typed) if a == self.ILL_TYPED else
                 str(comma) if a == self.COMMA else
                 str(retyped) if a == self.RETYPED else
-                str(rooted) if a == self.ROOTED else a for a in args]
+                str(rooted) if a == self.ROOTED else
+                str(elsewhere) if a == self.ELSEWHERE else a for a in args]
         res = runner.invoke(main, args)
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

@@ -129,7 +129,7 @@ class TestHPlus:
                     len(rounds(t.tables, s)):
                 with pytest.raises(ResourceExhausted):
                     h_plus(t, s, budget=0)
-                assert h_plus(t, s, budget=0, lower=value) == value
+                assert heuristics._h_plus(t, s, 0, value, ())[0] == value
                 closed += 1
         assert closed == 4
 
@@ -777,7 +777,7 @@ def test_h_plus_bounds_keep_the_value(make, seed, walk):
     s = random_walk_state(t, random.Random(walk))
     hp = h_plus(t, s)
     for k in range(3):
-        assert h_plus(t, s, lower=hp - k) == hp
+        assert heuristics._h_plus(t, s, None, hp - k, ())[0] == hp
 
 
 @settings(max_examples=80, deadline=None)
@@ -812,14 +812,14 @@ def _relaxed_reaches(task, s, aids):
 
 def _assert_pruned_plan(t, s, exact):
     """h_ff's plan from s less redundant actions is a relaxed plan from s,
-    in an order that applies, from which no single action can be dropped,
-    and no shorter than ``exact(t, s)``.  Returns how many were dropped."""
+    in plan order, from which no single action can be dropped, and no
+    shorter than ``exact(t, s)``.  Returns how many were dropped."""
     ff, plan = h_ff(t, s)
     if plan is None:
         return 0
     pruned = _pruned_plan(t.tables, s, plan.actions)
-    assert len(set(pruned)) == len(pruned) and set(pruned) <= set(plan.actions)
-    assert validate_plan(t, [t.actions[a] for a in pruned], relaxed=True, start=s)
+    assert pruned == [a for a in plan.actions if a in pruned]
+    assert _relaxed_reaches(t, s, pruned)
     for i in range(len(pruned)):
         assert not _relaxed_reaches(t, s, pruned[:i] + pruned[i + 1:])
     assert len(pruned) >= exact(t, s)
@@ -838,8 +838,7 @@ def test_pruned_plan_is_a_relaxed_plan_without_redundant_actions(seed, walk):
     ("gripper", {"balls": 3}),
 ])
 def test_pruned_plan_on_whole_space(family, params):
-    # random tasks rarely give h_ff a redundant action; these spaces do, and
-    # some of their pruned plans apply only in another order than h_ff's
+    # random tasks rarely give h_ff a redundant action; these spaces do
     t = generate(GeneratorSpec(family, params, 0))
     dropped = [_assert_pruned_plan(t, s, h_plus) for s in reachable_states(t)]
     assert sum(d > 0 for d in dropped) >= 5
@@ -889,10 +888,11 @@ def test_lower_bounds_are_admissible(seed, walk):
 
 
 def oracle_sweep(seeds, states=40):
-    """``h_plus`` against the oracle, also with ``lower`` = h-1 and h-2, on
-    the first ``states`` reachable states, in sorted order, of the random,
-    unary, single-achiever and shared-enabler tasks of each seed.  Returns
-    how many states it checked."""
+    """``_h_plus`` against the oracle under the bounds ``lower`` = 0 (as
+    ``h_plus`` calls it), h-1 and h-2, on the first ``states`` reachable
+    states, in sorted order, of the random, unary, single-achiever and
+    shared-enabler tasks of each seed.  Returns how many states it
+    checked."""
     checked = 0
     for make in (random_task, random_unary_task, random_single_achiever_task,
                  random_shared_enabler_task):
@@ -901,7 +901,7 @@ def oracle_sweep(seeds, states=40):
             for s in sorted(reachable_states(t), key=sorted)[:states]:
                 exact = h_plus_oracle(t, s)
                 for lower in (0, exact - 1, exact - 2):
-                    assert h_plus(t, s, lower=lower) == exact, \
+                    assert heuristics._h_plus(t, s, None, lower, ())[0] == exact, \
                         (make.__name__, seed, sorted(s), lower)
                 checked += 1
     return checked

@@ -97,6 +97,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_task(MINI_DOMAIN.replace(old, new, 1), MINI_PROBLEM)
 
+    @pytest.mark.parametrize("new, message", [
+        ("(:domain other)", "problem is for domain other, not mini"),
+        ("(:domain)", "has no name"),
+        ("(:domain (mini))", "expected a symbol"),
+    ], ids=["another-domain", "no-name", "name-list"])
+    def test_problem_for_another_domain_is_a_parse_error(self, new, message):
+        assert "(:domain mini)" in MINI_PROBLEM
+        with pytest.raises(ParseError, match=message):
+            parse_task(MINI_DOMAIN, MINI_PROBLEM.replace("(:domain mini)", new, 1))
+
     def test_deeply_nested_and_parses_like_the_flat_form(self):
         def nest(text):
             for _ in range(1200):
