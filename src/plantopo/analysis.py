@@ -28,7 +28,7 @@ VERDICT_HPLUS_EQUALS_GD = "HplusEqualsGd"
 VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS = "HplusEqualsGdViaRepairs"
 VERDICT_NO_LOCAL_MINIMA = "NoLocalMinima"
 
-DEFAULT_NODE_CAP = 1_000_000
+DEFAULT_NODE_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +523,7 @@ def interaction_free_verdict(task: Task, cap: int = DEFAULT_NODE_CAP) -> str:
         else VERDICT_HPLUS_EQUALS_GD
 
 
-def _conflict_instances(fgt, task, excluded, deletion_pairs):
+def _conflict_instances(fgt, excluded, deletion_pairs):
     """Yield the conflict node tuples within the sub-tree that excludes the
     marked nodes; ancestor conflicts give (deleter, ancestor), sibling
     conflicts every allied pair, goal deleters (node, root)."""
@@ -585,7 +585,7 @@ def no_local_minima_criterion(task: Task, cap: int = DEFAULT_NODE_CAP,
                       for nid in nodes_of.get(('F', f), ()) if not excluded[nid]]
         if not candidates:
             continue
-        for nodes in _conflict_instances(fgt, task, excluded, deletion_pairs):
+        for nodes in _conflict_instances(fgt, excluded, deletion_pairs):
             if any(compatible_leaf(nf, nodes) for nf in candidates):
                 return UNKNOWN
     return VERDICT_NO_LOCAL_MINIMA

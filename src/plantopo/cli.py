@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import click
 
 from . import __version__, pddl
-from .analysis import UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
+from .analysis import DEFAULT_NODE_CAP, UNKNOWN, VERDICT_HPLUS_EQUALS_GD, \
     VERDICT_HPLUS_EQUALS_GD_VIA_REPAIRS, VERDICT_NO_LOCAL_MINIMA, \
     analyze_task, check_lemmas, interaction_free_verdict, \
     no_local_minima_criterion, validate_respected
@@ -25,8 +25,6 @@ from .state_space import DEAD_END_HARMLESS, DEAD_END_RECOGNIZED, \
     DEAD_END_UNDIRECTED, DEAD_END_UNRECOGNIZED, DEFAULT_MAX_STATES, \
     PLATEAU_LOCAL_MINIMUM, enumerate_space, export_dot, topology_report
 from .task_model import Task
-
-_FGT_CAP = 100_000     # regression-tree node cap of analyze and taxonomy
 
 # taxonomy merges its sizes field by field: the worst value in each order
 _SEVERITY = [DEAD_END_UNDIRECTED, DEAD_END_HARMLESS,
@@ -325,7 +323,7 @@ def sample(domain_name, params, per_group, seed, heuristic, samples, factor,
 @main.command()
 @click.argument("domain_path", type=click.Path(exists=True))
 @click.argument("problem_path", type=click.Path(exists=True))
-@click.option("--fgt-cap", "cap", default=_FGT_CAP, show_default=True,
+@click.option("--fgt-cap", "cap", default=DEFAULT_NODE_CAP, show_default=True,
               type=click.IntRange(min=1),
               help="node cap for the goal regression tree")
 @click.option("--with-space", is_flag=True,
@@ -379,7 +377,7 @@ def analyze(domain_path, problem_path, cap, with_space):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--max-states", default=DEFAULT_MAX_STATES, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--cap", default=_FGT_CAP, show_default=True,
+@click.option("--cap", default=DEFAULT_NODE_CAP, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["text", "csv"]))

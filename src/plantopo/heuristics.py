@@ -250,7 +250,6 @@ def _relaxed_plan(task: Task, val, supp, tie_break=None):
     open_goals[m].extend(tables.goal)
     selected_at = [[] for _ in range(m + 1)]    # layer -> action ids, selection order
     stamp = [0] * len(val)                      # fact -> layer of its last selected adder
-    weights = {}
     for i in range(m, 0, -1):
         below = open_goals[i - 1]
         selected = selected_at[i]
@@ -266,9 +265,7 @@ def _relaxed_plan(task: Task, val, supp, tie_break=None):
                 p = supp[aid]
                 if p < 0 or val[p] >= i:
                     continue
-                w = weights.get(aid)
-                if w is None:
-                    w = weights[aid] = sum(map(val.__getitem__, pres[aid]))
+                w = sum(map(val.__getitem__, pres[aid]))
                 if w < best_w:
                     best_w, choice = w, aid
                     if tie_break is not None:
@@ -354,8 +351,6 @@ def _hitting_set(landmarks, size, allowance=INF):
                       key=int.bit_count)
         if not left:
             return hit
-        if not left[0]:
-            return None         # a landmark with all its members banned
         used = need = 0
         for lm in left:
             if not lm & used:
@@ -502,7 +497,7 @@ def _h_plus(task: Task, s, budget, lower, seed):
     A seed can steer the rounds to fewer cuts than a fresh root finds.  So
     when a seeded root leaves the loop to run, the unseeded rounds run once
     too: the value is ``best`` if they meet it, and otherwise their cuts
-    join the loop's landmarks and are passed on when they are more."""
+    join the loop's landmarks."""
     tables = task.tables
     val, supp = levels(tables, s)
     best, plan = _relaxed_plan(task, val, supp)
@@ -519,10 +514,7 @@ def _h_plus(task: Task, s, budget, lower, seed):
         fresh = _cut(tables, *levels(tables, s), best)
         if len(fresh) >= best:
             return best, fresh
-        landmarks = list(dict.fromkeys(
-            landmarks + [sum(1 << aid for aid in cut) for cut in fresh]))
-        if len(fresh) > len(cuts):
-            cuts = fresh
+        landmarks += [sum(1 << aid for aid in cut) for cut in fresh]
     nodes = 1
     while True:
         allowance = INF if budget is None else budget - nodes

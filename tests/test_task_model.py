@@ -34,6 +34,7 @@ class TestApply:
         t = transport_task
         s = apply(t, frozenset(t.init), act(t, "load(o1,v,l1)"))
         assert names(t, s) == ["at(o2,l2)", "at(v,l1)", "in(o1,v)"]
+        assert str(act(t, "load(o1,v,l1)")) == "load(o1,v,l1)"
 
     def test_readd_of_held_fact_is_identity(self):
         t = make_task(["p", "q"], [("a", ["p"], ["p"], [])], ["p"], ["q"])
@@ -43,10 +44,14 @@ class TestApply:
     def test_unmet_precondition_is_undefined(self, transport_task):
         t = transport_task
         assert apply(t, frozenset(t.init), act(t, "unload(o1,v,l1)")) is UNDEFINED
+        assert repr(UNDEFINED) == "Undefined"
+        assert bool(UNDEFINED) is False
 
     def test_foreign_action_rejected(self, transport_task, held_arm_task):
         with pytest.raises(ValueError):
             apply(transport_task, frozenset(transport_task.init), held_arm_task.actions[0])
+        with pytest.raises(TypeError):
+            apply(transport_task, frozenset(transport_task.init), "load(o1,v,l1)")
 
 
 class TestApplySequence:
@@ -123,6 +128,12 @@ class TestNormalization:
         a = t.actions[0]
         assert a.add == frozenset({t.fact_by_name["p"]})
         assert a.delete == frozenset()
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="fact"):
+            make_task(["p", "p"], [], [], [])
+        with pytest.raises(ValueError, match="action"):
+            make_task(["p"], [("a", [], ["p"], []), ("a", [], [], ["p"])], [], [])
 
     def test_add_delete_disjoint_everywhere(self):
         for seed in range(30):
