@@ -154,8 +154,8 @@ def run_experiment(specs: list, cfg: SampleConfig) -> SampleReport:
     searches, so each distinct state of an instance is evaluated once.
     A config with an unknown heuristic, a sample count per instance that
     is no integer of at least 1, or a walk length factor that is no
-    positive number raises PreconditionViolated before any instance is
-    generated."""
+    positive finite number raises PreconditionViolated before any instance
+    is generated."""
     if cfg.heuristic not in HEURISTICS:
         raise PreconditionViolated(
             f"unknown heuristic {cfg.heuristic!r}; known: "
@@ -164,9 +164,9 @@ def run_experiment(specs: list, cfg: SampleConfig) -> SampleReport:
     if not isinstance(n, int) or n < 1:
         raise PreconditionViolated(
             f"samples_per_instance must be an integer of at least 1, not {n!r}")
-    if not isinstance(factor, (int, float)) or not factor > 0:
+    if not isinstance(factor, (int, float)) or not 0 < factor < INF:
         raise PreconditionViolated(
-            f"walk_length_factor must be a positive number, not {factor!r}")
+            f"walk_length_factor must be a positive finite number, not {factor!r}")
     heuristic = HEURISTICS[cfg.heuristic]
     report = SampleReport()
     groups = {}

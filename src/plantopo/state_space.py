@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ResourceExhausted
-from .heuristics import INF, format_value, h_plus, h_plus_column
+from .heuristics import INF, format_value, h_ff_column, h_ff_value, h_plus, \
+    h_plus_column
 from .task_model import Task, is_goal, successors
 
 PLATEAU_RECOGNIZED_DEAD_END = "RecognizedDeadEnd"
@@ -84,8 +85,10 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     those lists from all goal states.  ``h_plus`` itself is evaluated
     along the transitions (``heuristics.h_plus_column``): each state's call
     takes a lower bound from its evaluated predecessors and starts its
-    root LM-cut from the cuts of one of them.  The values are the same as
-    from plain calls.
+    root LM-cut from the cuts of one of them.  ``h_ff_value`` is evaluated
+    by ``heuristics.h_ff_column``, which splits a large space between two
+    processes.  The values are the same as from plain calls, one per state
+    in id order, which any other callable gets.
     """
     init = frozenset(task.init)
     states = [init]
@@ -114,6 +117,8 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
 
     if heuristic is h_plus:
         h = h_plus_column(task, states, transitions)
+    elif heuristic is h_ff_value:
+        h = h_ff_column(task, states)
     else:
         h = [heuristic(task, s) for s in states]
 

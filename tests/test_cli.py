@@ -336,13 +336,15 @@ class TestErrorBoundary:
         ["parse", RETYPED, str(DATA / "gripper2-problem.pddl")],
         ["parse", ROOTED, str(DATA / "gripper2-problem.pddl")],
         ["parse", str(DATA / "gripper2-domain.pddl"), ELSEWHERE],
+        ["sample", "--domain", "gripper", "--param", "balls=1", "--samples", "2",
+         "--factor", "inf"],
     ], ids=["gen-balls-0", "parse", "heuristic", "topology", "plan",
             "analyze", "topology-state-cap", "taxonomy-unknown-family",
             "taxonomy-size-0", "sample-unknown-family", "sample-balls-0",
             "parse-free-variable", "parse-ill-typed-init",
             "parse-comma-in-object-name", "gen-logistics-one-location",
             "parse-conflicting-type-declarations", "parse-parent-of-object",
-            "parse-problem-for-another-domain"])
+            "parse-problem-for-another-domain", "sample-infinite-factor"])
     def test_exits_one_with_one_error_line(self, runner, tmp_path, args):
         bad = tmp_path / "bad.pddl"
         bad.write_text("(define (domain broken")

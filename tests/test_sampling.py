@@ -197,9 +197,10 @@ class TestRunExperiment:
         {"walk_length_factor": float("nan")},
         {"samples_per_instance": 2.5},
         {"walk_length_factor": "2"},
+        {"walk_length_factor": float("inf")},
     ], ids=["no-samples", "negative-samples", "unknown-heuristic",
             "zero-factor", "negative-factor", "nan-factor", "float-samples",
-            "string-factor"])
+            "string-factor", "infinite-factor"])
     def test_bad_config_raises_before_any_instance(self, monkeypatch, bad):
         generated = []
         monkeypatch.setattr(sampling, "generate", generated.append)

@@ -1,15 +1,17 @@
 """Exhaustive enumeration and topology classification."""
 
 import math
+import os
+import threading
 from collections import deque
 from functools import cached_property
 
 import pytest
 
 from plantopo import heuristics
-from plantopo.errors import ResourceExhausted
+from plantopo.errors import PlantopoError, ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF, h_plus
+from plantopo.heuristics import HEURISTICS, INF, h_ff_value, h_plus
 from plantopo.pddl import ground, parse_task
 from plantopo.state_space import StateSpace, dead_end_class, enumerate_space, \
     exit_distance, exit_distances, export_dot, plateaus, topology_report
@@ -462,6 +464,108 @@ class TestHPlusColumn:
             # 778 plain
             bounded, plain = counts["_hitting_set"]
             assert bounded < plain
+
+
+TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the h_ff column forks only where the process may run on two CPUs")
+
+
+def _counted_forks(monkeypatch):
+    """The list that gets one entry per ``os.fork`` call from here on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(heuristics.os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHffColumn:
+    """Under ``h_ff_value`` itself, ``enumerate_space`` evaluates the second
+    half of a space of at least ``heuristics.FORK_MIN_STATES`` states in one
+    forked child, and any other callable plainly.  Both give the per-state
+    values, ``INF`` objects included, and no child outlives the call."""
+
+    @TWO_CPUS
+    def test_large_space_forks_once(self, monkeypatch):
+        forks = _counted_forks(monkeypatch)
+        cpus = os.sched_getaffinity(0)
+        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 5}, 0))
+        space = enumerate_space(t, H_FF)
+        assert space.size == 4051 >= heuristics.FORK_MIN_STATES
+        assert len(forks) == 1
+        assert space.h == [h_ff_value(t, s) for s in space.states]
+        assert os.sched_getaffinity(0) == cpus
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["small-space", "wrapper", "second-thread"])
+    def test_serial_column(self, case, monkeypatch):
+        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 4}, 0))
+        forks = _counted_forks(monkeypatch)
+        if case != "small-space":
+            monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
+        if case == "second-thread":
+            release = threading.Event()
+            waiter = threading.Thread(target=release.wait)
+            waiter.start()
+            try:
+                space = enumerate_space(t, H_FF)
+            finally:
+                release.set()
+                waiter.join(timeout=10)
+            assert not waiter.is_alive()
+        elif case == "wrapper":
+            space = enumerate_space(t, lambda task, s: h_ff_value(task, s))
+        else:
+            space = enumerate_space(t, H_FF)
+        if case == "small-space":
+            assert space.size == 501 < heuristics.FORK_MIN_STATES
+        assert space.h == [h_ff_value(t, s) for s in space.states]
+        assert forks == []
+
+    @TWO_CPUS
+    def test_unsolvable_values_are_the_module_inf(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
+        forks = _counted_forks(monkeypatch)
+        for seed in (0, 30):        # unsolvable states in both halves
+            t = random_task(seed)
+            space = enumerate_space(t, H_FF)
+            plain = [h_ff_value(t, s) for s in space.states]
+            half = space.size // 2
+            assert INF in plain[:half] and INF in plain[half:]
+            assert space.h == plain
+            assert [v is INF for v in space.h] == [v == INF for v in plain]
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failing_half_leaves_no_child(self, failing, monkeypatch):
+        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 4}, 0))
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
+        cpus = os.sched_getaffinity(0)
+        pid = os.getpid()
+        levels = heuristics.levels
+
+        def broken(tables, s):
+            if (os.getpid() != pid) == (failing == "child"):
+                raise RuntimeError("broken levels")
+            return levels(tables, s)
+
+        monkeypatch.setattr(heuristics, "levels", broken)
+        with pytest.raises(PlantopoError if failing == "child" else RuntimeError):
+            enumerate_space(t, H_FF)
+        assert os.sched_getaffinity(0) == cpus
+        _assert_no_child_left()
 
 
 class TestInfinity:
