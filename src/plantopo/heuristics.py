@@ -550,22 +550,69 @@ def h_plus_column(task: Task, states, transitions) -> list:
     The cuts of p's root LM-cut that miss a are the seed of s's root
     (Pommerening & Helmert, ICAPS 2013): s keeps those of the predecessor
     with the most of them, the first in id order on a tie, until it is
-    evaluated.  The landmarks the hitting-set loop adds are not passed on."""
-    lower = [0] * len(states)
-    seeds = [()] * len(states)
-    h = []
-    for sid, s in enumerate(states):
-        value, cuts = _h_plus(task, s, None, lower[sid], seeds[sid])
-        seeds[sid] = ()
-        h.append(value)
+    evaluated.  The landmarks the hitting-set loop adds are not passed on.
+
+    A column that ``_split`` splits runs one layer at a time: a run of ids
+    that ends where the successors of the run before it end, which in a
+    breadth-first space is one depth.  Each process evaluates its half of
+    the layer (``_Link.half``), and a state passes its bounds on at once to
+    its successors in its own half.  At the end of the layer the halves
+    swap their values and cuts, and both processes pass the bounds of the
+    layer's states on to later layers, in id order, so both hold the same
+    bounds.  Only a push from the first half of a layer to the second is
+    lost: where no edge joins two states of one layer, every state gets the
+    bounds of the walk in id order, and the work is that of one process."""
+    size = len(states)
+    lower = [0] * size
+    seeds = [()] * size
+
+    def push(sid, value, cuts, start, stop):
         for aid, nid in transitions[sid]:
-            if nid > sid:
+            if start <= nid < stop:
                 if value - 1 > lower[nid]:
                     lower[nid] = value - 1
                 kept = [cut for cut in cuts if aid not in cut]
                 if len(kept) > len(seeds[nid]):
                     seeds[nid] = kept
-    return h
+
+    def evaluate(start, stop):
+        values, cuts = [], []
+        for sid in range(start, stop):
+            value, passed = _h_plus(task, states[sid], None, lower[sid], seeds[sid])
+            seeds[sid] = ()
+            push(sid, value, passed, sid + 1, stop)
+            values.append(value)
+            cuts.append(passed)
+        return values, cuts
+
+    def work(link):
+        if link is None:
+            return evaluate(0, size)[0]
+        h = []
+        start, stop = 0, 1
+        while start < size:
+            values, cuts = evaluate(*link.half(start, stop))
+            if link.child:
+                link.send(values, cuts)
+                if stop == size:
+                    return None
+                first = link.receive()
+                values, cuts = first[0] + values, first[1] + cuts
+            else:
+                second = link.receive()
+                if stop < size:
+                    link.send(values, cuts)
+                values, cuts = values + second[0], cuts + second[1]
+            h += values
+            seeds[start:stop] = [()] * (stop - start)
+            for sid, value, passed in zip(range(start, stop), values, cuts):
+                push(sid, value, passed, stop, size)
+            reach = max((nid + 1 for sid in range(start, stop)
+                         for _, nid in transitions[sid]), default=0)
+            start, stop = stop, min(size, max(stop + 1, reach))
+        return h
+
+    return _split(size, work)
 
 
 def h_ff_value(task: Task, s):
@@ -573,62 +620,127 @@ def h_ff_value(task: Task, s):
     return h_ff(task, s)[0]
 
 
-# The fewest states whose h_ff column is split between two processes: 1,000
-# states are about 70 ms of h_ff, some thirty times what a fork and its pipe
-# cost on a 2-core Xeon.
-FORK_MIN_STATES = 1000
-
-
 def h_ff_column(task: Task, states) -> list:
-    """``h_ff_value`` of every state of a space, in id order.
+    """``h_ff_value`` of every state of a space, in id order.  Each value
+    depends on its state alone, so a column that ``_split`` splits is
+    halved by id, the second half in the child."""
+    def work(link):
+        if link is None:
+            return [h_ff_value(task, s) for s in states]
+        start, stop = link.half(0, len(states))
+        values = [h_ff_value(task, s) for s in states[start:stop]]
+        if link.child:
+            link.send(values, None)
+            return None
+        return values + link.receive()[0]
 
-    Each value depends on its state alone, so a column of at least
-    ``FORK_MIN_STATES`` states is split in two when the process can fork,
-    may run on two or more CPUs and has one thread (forking a threaded
-    process can deadlock the child).  A forked child evaluates the second
-    half and writes its values to a pipe (``marshal``) while this process
-    evaluates the first.  Each process keeps to its own half of the CPUs
-    the process may run on until the column is done: a kernel that does
-    not balance load leaves a forked child on its parent's CPU.
+    return _split(len(states), work)
+
+
+# The fewest states whose column is split between two processes.  On a
+# 2-vCPU Xeon virtual machine, each process takes a page fault of 5-11 us
+# on each of the 450-2,100 shared pages it first writes to after the fork,
+# and a CPU-bound loop ran up to 45% slower while the other vCPU was busy.
+# There, in wall time, the split h+ column was slower on ferry-3 (40
+# states), blocksworld-no-arm-stack n=3 (73), hanoi-4 (81) and gripper-4
+# (256), about even on hanoi-5 (243) and no-arm-stack n=4 (501), and
+# faster on gripper-5 (704) and arm-stack n=4 (866).
+FORK_MIN_STATES = 500
+
+
+class _Link:
+    """This process's ends of the two pipes between the processes of a
+    split column; ``child`` tells which of the two this is.  Where both
+    write, the child writes first and the parent reads before it writes,
+    so no write waits on one from the other side, whatever its size.  The
+    child leaves after its last write, without waiting for the parent's."""
+
+    def __init__(self, child, reader, writer):
+        self.child = child
+        self._reader = reader
+        self._writer = writer
+
+    def half(self, start, stop):
+        """This process's half of the ids start..stop-1, as (start, stop):
+        the lower ids in the parent, which takes one more of an odd
+        count."""
+        mid = start + (stop - start + 1) // 2
+        return (mid, stop) if self.child else (start, mid)
+
+    def send(self, values, data):
+        """Writes ``values`` and ``data`` for the other process."""
+        marshal.dump((values, data), self._writer)
+        self._writer.flush()
+
+    def receive(self):
+        """The other process's next (values, data), with each infinite
+        value mapped back to ``INF``."""
+        values, data = marshal.load(self._reader)
+        return [INF if v == INF else v for v in values], data
+
+
+def _split(size, work):
+    """What ``work(link)`` returns in this process.
+
+    A column of at least ``FORK_MIN_STATES`` states is split in two when
+    the process can fork, may run on two or more CPUs and has one thread
+    (forking a threaded process can deadlock the child).  Then ``work``
+    runs here and in one forked child, each with its ``_Link`` to the
+    other, and each process keeps to its own half of the CPUs the process
+    may run on until the column is done: a kernel that does not balance
+    load leaves a forked child on its parent's CPU.  Otherwise
+    ``work(None)`` runs here alone.
 
     The child always leaves by ``os._exit``, so it runs no exit handler and
     flushes no inherited buffer.  It is reaped before the call returns or
-    raises, and killed first when this process's half raises.  A child
-    that fails before it has delivered its half raises ``PlantopoError``."""
+    raises, and killed first when this process's call raises.  A child
+    that fails, or that leaves while this process still reads from or
+    writes to it, raises ``PlantopoError``."""
     cpus = sorted(os.sched_getaffinity(0)) if (
-        len(states) >= FORK_MIN_STATES and hasattr(os, "fork")
+        size >= FORK_MIN_STATES and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity") and threading.active_count() == 1) else ()
     if len(cpus) < 2:
-        return [h_ff_value(task, s) for s in states]
-    half = len(states) // 2
-    read_end, write_end = os.pipe()
-    with open(read_end, "rb") as reader, open(write_end, "wb") as writer:
+        return work(None)
+    up_read, up_write = os.pipe()
+    down_read, down_write = os.pipe()
+    try:
         pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.sched_setaffinity(0, cpus[len(cpus) // 2:])
-                writer.write(marshal.dumps([h_ff_value(task, s) for s in states[half:]]))
-                writer.flush()
-                status = 0
-            finally:
-                os._exit(status)
+    except OSError:
+        for fd in (up_read, up_write, down_read, down_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
         try:
-            writer.close()      # so that the read ends when the child exits
-            os.sched_setaffinity(0, cpus[:len(cpus) // 2])
-            h = [h_ff_value(task, s) for s in states[:half]]
-            data = reader.read()
+            os.close(up_read)
+            os.close(down_write)
+            with open(down_read, "rb") as reader, open(up_write, "wb") as writer:
+                os.sched_setaffinity(0, cpus[len(cpus) // 2:])
+                work(_Link(True, reader, writer))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(up_write)      # so that a read ends when the child has left
+    os.close(down_read)     # and a write fails
+    lost = None
+    try:
+        try:
+            with open(up_read, "rb") as reader, open(down_write, "wb") as writer:
+                os.sched_setaffinity(0, cpus[:len(cpus) // 2])
+                result = work(_Link(False, reader, writer))
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             os.sched_setaffinity(0, cpus)
             _, status = os.waitpid(pid, 0)
-    if status != 0:
+    except (EOFError, BrokenPipeError) as exc:
+        lost = exc
+    if lost is not None or status != 0:
         raise PlantopoError(
-            f"the h_ff child process failed (wait status {status}) before "
-            f"it delivered the values of states {half}-{len(states) - 1}")
-    return h + [INF if v == INF else v for v in marshal.loads(data)]
+            f"the child process of a {size}-state column ended (wait status "
+            f"{status}) before it delivered its half") from lost
+    return result
 
 
 # Every entry is a module-level function, so that it pickles by name.

@@ -86,9 +86,10 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
     along the transitions (``heuristics.h_plus_column``): each state's call
     takes a lower bound from its evaluated predecessors and starts its
     root LM-cut from the cuts of one of them.  ``h_ff_value`` is evaluated
-    by ``heuristics.h_ff_column``, which splits a large space between two
-    processes.  The values are the same as from plain calls, one per state
-    in id order, which any other callable gets.
+    by ``heuristics.h_ff_column``.  Both columns split a large space
+    between two processes: the h_ff column by id, the h+ column within
+    each breadth-first layer.  The values are the same as from plain
+    calls, one per state in id order, which any other callable gets.
     """
     init = frozenset(task.init)
     states = [init]

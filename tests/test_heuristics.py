@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 
@@ -142,17 +143,27 @@ class TestHPlus:
         # counts work rather than timing it: one h_max exploration for the
         # root of each state (two where a root that inherits cuts reaches
         # the loop), and for each hard state (one whose root leaves the
-        # hitting-set loop to run) the landmarks the loop adds
+        # hitting-set loop to run) the landmarks the loop adds.  The
+        # counters see this process only, so the column stays in it: no
+        # space is split
         t = generate(GeneratorSpec(family, {"n": 4}, 0))
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", math.inf)
         calls = [0]
-        explore = heuristics.levels
+        roots = []
+        explore, solve = heuristics.levels, heuristics._h_plus
 
         def counted(tables, s):
             calls[0] += 1
             return explore(tables, s)
 
+        def recorded(task, s, budget, lower, seed):
+            roots.append(s)
+            return solve(task, s, budget, lower, seed)
+
         monkeypatch.setattr(heuristics, "levels", counted)
+        monkeypatch.setattr(heuristics, "_h_plus", recorded)
         space = enumerate_space(t, h_plus)
+        assert roots == space.states        # one root per state, in id order
         assert calls[0] / len(space.states) <= cap
         landmarks = _recorded_landmarks(monkeypatch)
         counts = _counted_searches(monkeypatch)
@@ -223,7 +234,9 @@ class TestHPlus:
         # every cut the h column passes on is a landmark of the state that
         # inherits it: the actions outside it do not reach the goal.  The
         # inherited cuts, and the cuts each state passes on in turn, are
-        # pairwise disjoint
+        # pairwise disjoint.  The recorder sees this process only, so the
+        # column stays in it: no space is split
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", math.inf)
         calls = []
         solve = heuristics._h_plus
 
@@ -238,7 +251,8 @@ class TestHPlus:
             for t in (random_task(seed), random_shared_enabler_task(seed)):
                 actions = set(range(len(t.actions)))
                 calls.clear()
-                enumerate_space(t, h_plus)
+                space = enumerate_space(t, h_plus)
+                assert [s for s, _, _ in calls] == space.states   # one root per state
                 for s, seed_cuts, cuts in calls:
                     for family in (seed_cuts, cuts):
                         members = [a for cut in family for a in cut]

@@ -1,9 +1,12 @@
 """Exhaustive enumeration and topology classification."""
 
+import marshal
 import math
 import os
+import signal
 import threading
 from collections import deque
+from contextlib import contextmanager
 from functools import cached_property
 
 import pytest
@@ -404,7 +407,17 @@ class TestHPlusColumn:
         in the loop of each root that no bound closes.  The inherited
         landmarks never add nodes to a task's loop.  They can add rounds,
         since a root that inherits cuts and still reaches the loop runs its
-        rounds once more without them."""
+        rounds once more without them.  The counters see this process only,
+        so the column stays in it: no space is split."""
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", math.inf)
+        roots = []
+        solve = heuristics._h_plus
+
+        def recorded(task, s, budget, lower, seed):
+            roots.append(s)
+            return solve(task, s, budget, lower, seed)
+
+        monkeypatch.setattr(heuristics, "_h_plus", recorded)
         counts = {name: [] for name in _COUNTED}
         for name, calls in counts.items():
             def counted(*args, _name=name, _calls=calls):
@@ -422,6 +435,7 @@ class TestHPlusColumn:
         for calls in counts.values():
             calls.append(0)
         bounded = enumerate_space(task, h_plus)
+        assert roots == bounded.states      # one root per state, in id order
         for calls in counts.values():
             calls.append(0)
         plain = enumerate_space(task, wrapper)
@@ -468,7 +482,7 @@ class TestHPlusColumn:
 
 TWO_CPUS = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the h_ff column forks only where the process may run on two CPUs")
+    reason="a column forks only where the process may run on two CPUs")
 
 
 def _counted_forks(monkeypatch):
@@ -489,27 +503,62 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestHffColumn:
-    """Under ``h_ff_value`` itself, ``enumerate_space`` evaluates the second
-    half of a space of at least ``heuristics.FORK_MIN_STATES`` states in one
-    forked child, and any other callable plainly.  Both give the per-state
-    values, ``INF`` objects included, and no child outlives the call."""
+@contextmanager
+def _deadline(seconds):
+    """Turns a hang of the block into a ``TimeoutError``."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _layers(space):
+    """The breadth-first layers of ``space`` as (start, stop) id ranges."""
+    depth = [0] + [None] * (space.size - 1)
+    for sid, succs in enumerate(space.transitions):
+        for _, nid in succs:
+            if depth[nid] is None:
+                depth[nid] = depth[sid] + 1
+    stops = [sid for sid in range(1, space.size) if depth[sid] != depth[sid - 1]]
+    return list(zip([0] + stops, stops + [space.size]))
+
+
+class _SplitColumnCases:
+    """``enumerate_space`` evaluates a space of at least
+    ``heuristics.FORK_MIN_STATES`` states under ``heuristic`` itself in two
+    processes, and any other callable plainly.  Both give the per-state
+    values, ``INF`` objects included, and no child outlives the call.
+    ``splits(space)`` lists the id ranges whose halves the two processes
+    evaluate, the lower half in the parent."""
+
+    heuristic = None
+    large = None            # (family, parameters) of a space above the floor
+
+    @staticmethod
+    def splits(space):
+        raise NotImplementedError
 
     @TWO_CPUS
     def test_large_space_forks_once(self, monkeypatch):
         forks = _counted_forks(monkeypatch)
         cpus = os.sched_getaffinity(0)
-        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 5}, 0))
-        space = enumerate_space(t, H_FF)
-        assert space.size == 4051 >= heuristics.FORK_MIN_STATES
+        t = generate(GeneratorSpec(*self.large, 0))
+        space = enumerate_space(t, self.heuristic)
+        assert space.size >= heuristics.FORK_MIN_STATES
         assert len(forks) == 1
-        assert space.h == [h_ff_value(t, s) for s in space.states]
+        assert space.h == [self.heuristic(t, s) for s in space.states]
         assert os.sched_getaffinity(0) == cpus
         _assert_no_child_left()
 
     @pytest.mark.parametrize("case", ["small-space", "wrapper", "second-thread"])
     def test_serial_column(self, case, monkeypatch):
-        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 4}, 0))
+        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 3}, 0))
         forks = _counted_forks(monkeypatch)
         if case != "small-space":
             monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
@@ -518,30 +567,31 @@ class TestHffColumn:
             waiter = threading.Thread(target=release.wait)
             waiter.start()
             try:
-                space = enumerate_space(t, H_FF)
+                space = enumerate_space(t, self.heuristic)
             finally:
                 release.set()
                 waiter.join(timeout=10)
             assert not waiter.is_alive()
         elif case == "wrapper":
-            space = enumerate_space(t, lambda task, s: h_ff_value(task, s))
+            space = enumerate_space(t, lambda task, s: self.heuristic(task, s))
         else:
-            space = enumerate_space(t, H_FF)
+            space = enumerate_space(t, self.heuristic)
         if case == "small-space":
-            assert space.size == 501 < heuristics.FORK_MIN_STATES
-        assert space.h == [h_ff_value(t, s) for s in space.states]
+            assert space.size == 73 < heuristics.FORK_MIN_STATES
+        assert space.h == [self.heuristic(t, s) for s in space.states]
         assert forks == []
 
     @TWO_CPUS
     def test_unsolvable_values_are_the_module_inf(self, monkeypatch):
         monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
         forks = _counted_forks(monkeypatch)
-        for seed in (0, 30):        # unsolvable states in both halves
+        for seed in (0, 4):         # unsolvable states on both sides of a split
             t = random_task(seed)
-            space = enumerate_space(t, H_FF)
-            plain = [h_ff_value(t, s) for s in space.states]
-            half = space.size // 2
-            assert INF in plain[:half] and INF in plain[half:]
+            space = enumerate_space(t, self.heuristic)
+            plain = [self.heuristic(t, s) for s in space.states]
+            assert any(INF in plain[start:mid] and INF in plain[mid:stop]
+                       for start, stop in self.splits(space)
+                       for mid in [start + (stop - start + 1) // 2])
             assert space.h == plain
             assert [v is INF for v in space.h] == [v == INF for v in plain]
         assert len(forks) == 2
@@ -550,7 +600,7 @@ class TestHffColumn:
     @TWO_CPUS
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_a_failing_half_leaves_no_child(self, failing, monkeypatch):
-        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 4}, 0))
+        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 3}, 0))
         monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
         cpus = os.sched_getaffinity(0)
         pid = os.getpid()
@@ -562,9 +612,103 @@ class TestHffColumn:
             return levels(tables, s)
 
         monkeypatch.setattr(heuristics, "levels", broken)
-        with pytest.raises(PlantopoError if failing == "child" else RuntimeError):
-            enumerate_space(t, H_FF)
+        with _deadline(30), pytest.raises(
+                PlantopoError if failing == "child" else RuntimeError):
+            enumerate_space(t, self.heuristic)
         assert os.sched_getaffinity(0) == cpus
+        _assert_no_child_left()
+
+
+class TestHffColumn(_SplitColumnCases):
+    """The h_ff column: two halves of the space by id."""
+
+    heuristic = staticmethod(H_FF)
+    large = ("blocksworld-no-arm-stack", {"n": 5})
+
+    @staticmethod
+    def splits(space):
+        return [(0, space.size)]
+
+
+class TestSplitHPlusColumn(_SplitColumnCases):
+    """The h+ column: the halves of each breadth-first layer, which swap
+    their values and cuts at the end of the layer."""
+
+    heuristic = staticmethod(H_PLUS)
+    large = ("blocksworld-arm-stack", {"n": 4})
+
+    @staticmethod
+    def splits(space):
+        return _layers(space)
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("leaves", ["mid-message", "after-message"])
+    def test_a_child_that_leaves_between_layers_is_an_error(self, leaves,
+                                                            monkeypatch):
+        # the child writes its half of the third layer, or only part of
+        # it, and exits: the parent reads the end of the pipe in the middle
+        # of a message, or its own write or next read finds the child gone
+        t = generate(GeneratorSpec("gripper", {"balls": 4}, 0))
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
+        cpus = os.sched_getaffinity(0)
+        pid = os.getpid()
+        send = heuristics._Link.send
+        sent = [0]
+
+        def leaving(link, values, data):
+            if os.getpid() == pid:
+                return send(link, values, data)
+            sent[0] += 1
+            if sent[0] < 3:
+                return send(link, values, data)
+            message = marshal.dumps((values, data))
+            if leaves == "mid-message":
+                message = message[:len(message) // 2]
+            link._writer.write(message)
+            link._writer.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(heuristics._Link, "send", leaving)
+        forks = _counted_forks(monkeypatch)
+        with _deadline(30), pytest.raises(PlantopoError) as raised:
+            enumerate_space(t, H_PLUS)
+        assert isinstance(raised.value.__cause__, EOFError if leaves == "mid-message"
+                          else (EOFError, BrokenPipeError))
+        assert len(forks) == 1
+        assert os.sched_getaffinity(0) == cpus
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    def test_a_layer_larger_than_a_pipe(self, monkeypatch):
+        # 64 one-switch states make the second layer.  Each inherits some
+        # 300 one-action cuts, since every goal fact has one achiever, so
+        # each half of the layer is one message of more than 64 KiB, the
+        # size of a pipe's buffer on Linux
+        switches = [f"s{i}" for i in range(64)]
+        goals = [f"g{k}" for k in range(300)]
+        actions = [(f"set-{s}", [], [s], [o for o in switches if o != s])
+                   for s in switches]
+        actions += [(f"reach-{g}", ["s0", "s1"], [g], []) for g in goals]
+        actions += [("park", ["s0"], ["parked"], switches)]
+        t = make_task(switches + goals + ["parked"], actions, [], goals, name="wide")
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", math.inf)
+        serial = enumerate_space(t, H_PLUS)
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
+        sizes = []
+        send = heuristics._Link.send
+
+        def measured(link, values, data):
+            sizes.append(len(marshal.dumps((values, data))))
+            return send(link, values, data)
+
+        monkeypatch.setattr(heuristics._Link, "send", measured)
+        forks = _counted_forks(monkeypatch)
+        with _deadline(30):
+            space = enumerate_space(t, H_PLUS)
+        assert len(forks) == 1
+        assert _layers(space)[1] == (1, 65)
+        assert max(sizes) > 64 * 1024
+        assert space.h == serial.h
         _assert_no_child_left()
 
 
