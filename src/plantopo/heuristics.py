@@ -552,16 +552,18 @@ def h_plus_column(task: Task, states, transitions) -> list:
     with the most of them, the first in id order on a tie, until it is
     evaluated.  The landmarks the hitting-set loop adds are not passed on.
 
-    A column that ``_split`` splits runs one layer at a time: a run of ids
-    that ends where the successors of the run before it end, which in a
-    breadth-first space is one depth.  Each process evaluates its half of
-    the layer (``_Link.half``), and a state passes its bounds on at once to
-    its successors in its own half.  At the end of the layer the halves
-    swap their values and cuts, and both processes pass the bounds of the
-    layer's states on to later layers, in id order, so both hold the same
-    bounds.  Only a push from the first half of a layer to the second is
-    lost: where no edge joins two states of one layer, every state gets the
-    bounds of the walk in id order, and the work is that of one process."""
+    The column runs one layer at a time: a run of ids that ends where the
+    successors of the run before it end, which in a breadth-first space is
+    one depth.  Each process evaluates its half of the layer
+    (``_Link.half``), and a state passes its bounds on at once to its
+    successors in its own half.  Then the halves are gathered
+    (``_Link.gather``), and each process passes the layer's bounds on to
+    later layers in id order, so both hold the same bounds.  In one
+    process the half is the whole layer, and the walk pushes the bounds of
+    a loop in id order, in the same order.  Split in two, only a push from
+    the first half of a layer to the second is lost: where no edge joins
+    two states of one layer, the bounds and the work are those of one
+    process."""
     size = len(states)
     lower = [0] * size
     seeds = [()] * size
@@ -575,34 +577,18 @@ def h_plus_column(task: Task, states, transitions) -> list:
                 if len(kept) > len(seeds[nid]):
                     seeds[nid] = kept
 
-    def evaluate(start, stop):
-        values, cuts = [], []
-        for sid in range(start, stop):
-            value, passed = _h_plus(task, states[sid], None, lower[sid], seeds[sid])
-            seeds[sid] = ()
-            push(sid, value, passed, sid + 1, stop)
-            values.append(value)
-            cuts.append(passed)
-        return values, cuts
-
     def work(link):
-        if link is None:
-            return evaluate(0, size)[0]
         h = []
         start, stop = 0, 1
         while start < size:
-            values, cuts = evaluate(*link.half(start, stop))
-            if link.child:
-                link.send(values, cuts)
-                if stop == size:
-                    return None
-                first = link.receive()
-                values, cuts = first[0] + values, first[1] + cuts
-            else:
-                second = link.receive()
-                if stop < size:
-                    link.send(values, cuts)
-                values, cuts = values + second[0], cuts + second[1]
+            values, cuts = [], []
+            low, high = link.half(start, stop)
+            for sid in range(low, high):
+                value, passed = _h_plus(task, states[sid], None, lower[sid], seeds[sid])
+                push(sid, value, passed, sid + 1, high)
+                values.append(value)
+                cuts.append(passed)
+            values, cuts = link.gather(values, cuts, stop == size)
             h += values
             seeds[start:stop] = [()] * (stop - start)
             for sid, value, passed in zip(range(start, stop), values, cuts):
@@ -622,17 +608,12 @@ def h_ff_value(task: Task, s):
 
 def h_ff_column(task: Task, states) -> list:
     """``h_ff_value`` of every state of a space, in id order.  Each value
-    depends on its state alone, so a column that ``_split`` splits is
-    halved by id, the second half in the child."""
+    depends on its state alone, so each process evaluates its half of all
+    ids (``_Link.half``), and the halves are gathered once."""
     def work(link):
-        if link is None:
-            return [h_ff_value(task, s) for s in states]
         start, stop = link.half(0, len(states))
         values = [h_ff_value(task, s) for s in states[start:stop]]
-        if link.child:
-            link.send(values, None)
-            return None
-        return values + link.receive()[0]
+        return link.gather(values, [], True)[0]
 
     return _split(len(states), work)
 
@@ -650,10 +631,8 @@ FORK_MIN_STATES = 500
 
 class _Link:
     """This process's ends of the two pipes between the processes of a
-    split column; ``child`` tells which of the two this is.  Where both
-    write, the child writes first and the parent reads before it writes,
-    so no write waits on one from the other side, whatever its size.  The
-    child leaves after its last write, without waiting for the parent's."""
+    split column; ``child`` tells which of the two this is.  A lone link
+    (``child`` None, no pipes) is the one process of an unsplit column."""
 
     def __init__(self, child, reader, writer):
         self.child = child
@@ -663,9 +642,30 @@ class _Link:
     def half(self, start, stop):
         """This process's half of the ids start..stop-1, as (start, stop):
         the lower ids in the parent, which takes one more of an odd
-        count."""
+        count, and all of them in a lone link."""
+        if self.child is None:
+            return start, stop
         mid = start + (stop - start + 1) // 2
         return (mid, stop) if self.child else (start, mid)
+
+    def gather(self, values, data, last):
+        """Both halves' ``values`` and ``data`` (lists) in id order; a lone
+        link returns its own.  The child writes, then reads unless ``last``;
+        the parent reads, then writes unless ``last``.  So no write waits on
+        one from the other side, whatever its size.  The child leaves after
+        its last write, whose gather returns its own half alone."""
+        if self.child is None:
+            return values, data
+        if self.child:
+            self.send(values, data)
+            if last:
+                return values, data
+            other = self.receive()
+            return other[0] + values, other[1] + data
+        other = self.receive()
+        if not last:
+            self.send(values, data)
+        return values + other[0], data + other[1]
 
     def send(self, values, data):
         """Writes ``values`` and ``data`` for the other process."""
@@ -688,8 +688,8 @@ def _split(size, work):
     runs here and in one forked child, each with its ``_Link`` to the
     other, and each process keeps to its own half of the CPUs the process
     may run on until the column is done: a kernel that does not balance
-    load leaves a forked child on its parent's CPU.  Otherwise
-    ``work(None)`` runs here alone.
+    load leaves a forked child on its parent's CPU.  Otherwise ``work``
+    runs here alone, with a lone ``_Link``.
 
     The child always leaves by ``os._exit``, so it runs no exit handler and
     flushes no inherited buffer.  It is reaped before the call returns or
@@ -700,7 +700,7 @@ def _split(size, work):
         size >= FORK_MIN_STATES and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity") and threading.active_count() == 1) else ()
     if len(cpus) < 2:
-        return work(None)
+        return work(_Link(None, None, None))
     up_read, up_write = os.pipe()
     down_read, down_write = os.pipe()
     try:

@@ -455,6 +455,11 @@ class TestHPlusColumn:
         for bounded, plain in totals.values():
             assert bounded < plain
 
+    # _lower calls and hitting-set nodes of the bounded column
+    WORK = {"blocksworld-arm-stack": (871, 0), "blocksworld-no-arm-stack": (91, 0),
+            "gripper": (327, 148), "tireworld": (465, 0), "hanoi": (98, 0),
+            "ferry": (29, 0)}
+
     @pytest.mark.parametrize("family,params,seed", [
         ("blocksworld-arm-stack", {"n": 4}, 0),
         ("blocksworld-no-arm-stack", {"n": 3}, 0),
@@ -467,6 +472,9 @@ class TestHPlusColumn:
     def test_topology_families(self, family, params, seed, monkeypatch):
         counts = self.check(generate(GeneratorSpec(family, params, seed)),
                             monkeypatch)
+        # the bounded column's work in one process: a layer walk that lost
+        # a push inside a layer would make more
+        assert (counts["_lower"][0], counts["_hitting_set"][0]) == self.WORK[family]
         if family in ("blocksworld-arm-stack", "tireworld"):
             # inherited cuts leave few rounds to compute: 871 against
             # 6,028 plain on arm-stack, and 465 against 8,256 on tireworld,
@@ -546,21 +554,30 @@ class _SplitColumnCases:
 
     @TWO_CPUS
     def test_large_space_forks_once(self, monkeypatch):
+        # the large space above the floor, then a 73-state space at it
         forks = _counted_forks(monkeypatch)
         cpus = os.sched_getaffinity(0)
-        t = generate(GeneratorSpec(*self.large, 0))
-        space = enumerate_space(t, self.heuristic)
-        assert space.size >= heuristics.FORK_MIN_STATES
-        assert len(forks) == 1
-        assert space.h == [self.heuristic(t, s) for s in space.states]
-        assert os.sched_getaffinity(0) == cpus
-        _assert_no_child_left()
+        small = ("blocksworld-no-arm-stack", {"n": 3})
+        for spec, floor in [(self.large, heuristics.FORK_MIN_STATES), (small, 73)]:
+            monkeypatch.setattr(heuristics, "FORK_MIN_STATES", floor)
+            t = generate(GeneratorSpec(*spec, 0))
+            forks.clear()
+            space = enumerate_space(t, self.heuristic)
+            assert space.size >= floor
+            assert len(forks) == 1
+            assert space.h == [self.heuristic(t, s) for s in space.states]
+            assert os.sched_getaffinity(0) == cpus
+            _assert_no_child_left()
+        assert space.size == 73
 
-    @pytest.mark.parametrize("case", ["small-space", "wrapper", "second-thread"])
+    @pytest.mark.parametrize("case", ["small-space", "below-floor", "wrapper",
+                                      "second-thread"])
     def test_serial_column(self, case, monkeypatch):
         t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 3}, 0))
         forks = _counted_forks(monkeypatch)
-        if case != "small-space":
+        if case == "below-floor":
+            monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 74)
+        elif case != "small-space":
             monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
         if case == "second-thread":
             release = threading.Event()
@@ -576,7 +593,7 @@ class _SplitColumnCases:
             space = enumerate_space(t, lambda task, s: self.heuristic(task, s))
         else:
             space = enumerate_space(t, self.heuristic)
-        if case == "small-space":
+        if case in ("small-space", "below-floor"):
             assert space.size == 73 < heuristics.FORK_MIN_STATES
         assert space.h == [self.heuristic(t, s) for s in space.states]
         assert forks == []
