@@ -608,9 +608,9 @@ def analyze_task(task: Task, cap: int = DEFAULT_NODE_CAP) -> AnalysisReport:
 # State-space-backed validators
 
 
-def validate_respected(task: Task, space: StateSpace) -> dict:
-    """Check, per action, that whenever the action starts an optimal plan
-    from a reachable state, some optimal relaxed plan contains it.
+def validate_respected(space: StateSpace) -> dict:
+    """Check, per action of the space's task, that whenever it starts an
+    optimal plan from a reachable state, some optimal relaxed plan has it.
 
     ``space`` must carry exact optimal-relaxed-length heuristic values and
     goal distances.  Membership of a in an optimal relaxed plan for s holds
@@ -618,6 +618,7 @@ def validate_respected(task: Task, space: StateSpace) -> dict:
     effects equals the optimal relaxed length of s.  Returns per action id a
     dict with ``respected`` and the counterexample state ids.
     """
+    task = space.task
     h_relaxed = memoized(h_plus, task)
     counterexamples = {a.id: [] for a in task.actions}
     for sid, succs in enumerate(space.transitions):

@@ -358,7 +358,7 @@ def analyze(domain_path, problem_path, cap, with_space):
     click.echo(f"no-local-minima verdict: {report.no_local_minima_verdict}")
     if with_space:
         space = enumerate_space(task, HEURISTICS["hplus"])
-        respected = validate_respected(task, space)
+        respected = validate_respected(space)
         bad = sorted(aid for aid, v in respected.items()
                      if not v["respected"])
         click.echo(f"states enumerated: {space.size}")

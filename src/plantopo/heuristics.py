@@ -3,8 +3,8 @@
 Provides the exact optimal relaxed-plan length (``h_plus``), a brute-force
 iterative-deepening oracle for it (``h_plus_oracle``), the layered
 relaxed-planning-graph heuristic with backward plan extraction (``h_ff``),
-and the goal-count heuristic (``h_goalcount``).  ``h_plus_column`` and
-``h_ff_column`` evaluate every state of an enumerated space.
+and the goal-count heuristic (``h_goalcount``).  ``column`` evaluates a
+heuristic over every state of an enumerated space.
 
 Values are naturals, with ``INF`` (float infinity) for unsolvable states.
 """
@@ -136,7 +136,7 @@ def _cut(tables: Tables, val, supp, limit=INF, seed=()):
 
     ``seed`` holds pairwise disjoint landmarks of the state, each a sorted
     list of action ids, such as a predecessor's cuts (see
-    ``h_plus_column``).  Their members that ``levels`` left unreached are
+    ``_h_plus_column``).  Their members that ``levels`` left unreached are
     dropped, since no relaxed plan uses them; the rest are freed in one
     ``_lower`` call and come first among the cuts.  A round never cuts a
     freed action, so the cuts stay pairwise disjoint."""
@@ -538,19 +538,16 @@ def _h_plus(task: Task, s, budget, lower, seed):
             landmarks.append(landmark)
 
 
-def h_plus_column(task: Task, states, transitions) -> list:
-    """``h_plus`` of every state of a space, in id order;
-    ``transitions[sid]`` lists the (action id, successor id) pairs of state
-    sid.  The values are the same as from plain calls.
-
-    Each state passes bounds on to its successors of higher id.  For a
-    transition p -> s by action a, a followed by a relaxed plan for s is a
-    relaxed plan for p.  So h+(s) >= h+(p) - 1, which is passed on as
-    ``lower``, and every relaxed landmark of p that misses a is one of s.
-    The cuts of p's root LM-cut that miss a are the seed of s's root
-    (Pommerening & Helmert, ICAPS 2013): s keeps those of the predecessor
-    with the most of them, the first in id order on a tie, until it is
-    evaluated.  The landmarks the hitting-set loop adds are not passed on.
+def _h_plus_column(task: Task, states, transitions) -> list:
+    """``column`` under ``h_plus``: each state passes bounds on to its
+    successors of higher id.  For a transition p -> s by action a, a
+    followed by a relaxed plan for s is a relaxed plan for p.  So h+(s) >=
+    h+(p) - 1, which is passed on as ``lower``, and every relaxed landmark
+    of p that misses a is one of s.  The cuts of p's root LM-cut that miss
+    a are the seed of s's root (Pommerening & Helmert, ICAPS 2013): s keeps
+    those of the predecessor with the most of them, the first in id order
+    on a tie, until it is evaluated.  The landmarks the hitting-set loop
+    adds are not passed on.
 
     The column runs one layer at a time: a run of ids that ends where the
     successors of the run before it end, which in a breadth-first space is
@@ -606,10 +603,24 @@ def h_ff_value(task: Task, s):
     return h_ff(task, s)[0]
 
 
-def h_ff_column(task: Task, states) -> list:
-    """``h_ff_value`` of every state of a space, in id order.  Each value
-    depends on its state alone, so each process evaluates its half of all
-    ids (``_Link.half``), and the halves are gathered once."""
+def column(task: Task, heuristic, states, transitions) -> list:
+    """``heuristic`` of every state of an enumerated space, in id order,
+    equal to plain calls ``heuristic(task, s)``; ``transitions[sid]`` lists
+    the (action id, successor id) pairs of state sid, and ids are in
+    breadth-first order.  This is the one place that decides how a space is
+    evaluated.  ``h_plus`` itself gets the layer walk of ``_h_plus_column``,
+    which bounds each state below by its evaluated predecessors and starts
+    its root LM-cut from the cuts of one of them.  Under ``h_ff_value``
+    itself each value depends on its state alone, so each process evaluates
+    its half of all ids (``_Link.half``), and the halves are gathered once.
+    Both split a space of at least ``FORK_MIN_STATES`` states between two
+    processes (``_split``).  Any other callable, a wrapper around either
+    included, is called once per state in id order."""
+    if heuristic is h_plus:
+        return _h_plus_column(task, states, transitions)
+    if heuristic is not h_ff_value:
+        return [heuristic(task, s) for s in states]
+
     def work(link):
         start, stop = link.half(0, len(states))
         values = [h_ff_value(task, s) for s in states[start:stop]]
@@ -688,8 +699,9 @@ def _split(size, work):
     runs here and in one forked child, each with its ``_Link`` to the
     other, and each process keeps to its own half of the CPUs the process
     may run on until the column is done: a kernel that does not balance
-    load leaves a forked child on its parent's CPU.  Otherwise ``work``
-    runs here alone, with a lone ``_Link``.
+    load leaves a forked child on its parent's CPU.  Otherwise, and when
+    the two pipes or the child cannot be made, ``work`` runs here alone,
+    with a lone ``_Link``.
 
     The child always leaves by ``os._exit``, so it runs no exit handler and
     flushes no inherited buffer.  It is reaped before the call returns or
@@ -699,16 +711,18 @@ def _split(size, work):
     cpus = sorted(os.sched_getaffinity(0)) if (
         size >= FORK_MIN_STATES and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity") and threading.active_count() == 1) else ()
-    if len(cpus) < 2:
+    pid, fds = None, []
+    if len(cpus) >= 2:
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:     # no file or process to spare: one process
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
         return work(_Link(None, None, None))
-    up_read, up_write = os.pipe()
-    down_read, down_write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (up_read, up_write, down_read, down_write):
-            os.close(fd)
-        raise
+    up_read, up_write, down_read, down_write = fds
     if pid == 0:
         status = 1
         try:

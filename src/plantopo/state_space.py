@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ResourceExhausted
-from .heuristics import INF, format_value, h_ff_column, h_ff_value, h_plus, \
-    h_plus_column
+from .heuristics import INF, column, format_value
 from .task_model import Task, is_goal, successors
 
 PLATEAU_RECOGNIZED_DEAD_END = "RecognizedDeadEnd"
@@ -77,29 +76,19 @@ class TopologyReport:
 
 
 def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES) -> StateSpace:
-    """Breadth-first expansion from init in action-id order.
-
-    ``heuristic`` is a callable (task, state) -> value.  Each transition
-    is also recorded in its target's predecessor list, which the space
-    keeps; goal distances come from a backward breadth-first search over
-    those lists from all goal states.  ``h_plus`` itself is evaluated
-    along the transitions (``heuristics.h_plus_column``): each state's call
-    takes a lower bound from its evaluated predecessors and starts its
-    root LM-cut from the cuts of one of them.  ``h_ff_value`` is evaluated
-    by ``heuristics.h_ff_column``.  Both columns split a large space
-    between two processes: the h_ff column by id, the h+ column within
-    each breadth-first layer.  The values are the same as from plain
-    calls, one per state in id order, which any other callable gets.
-    """
+    """Breadth-first expansion from init in action-id order; ids are handed
+    out in breadth-first order, so the search walks the list of states by
+    id.  ``heuristics.column`` evaluates the space under ``heuristic``, a
+    callable (task, state) -> value.  Each transition is also recorded in
+    its target's predecessor list, which the space keeps; goal distances
+    come from a backward breadth-first search over those lists from all
+    goal states."""
     init = frozenset(task.init)
     states = [init]
     index = {init: 0}
     transitions = []
     preds = [[]]
-    frontier = deque([0])
-    while frontier:
-        sid = frontier.popleft()
-        s = states[sid]
+    for sid, s in enumerate(states):
         succs = []
         for a, ns in successors(task, s):
             nid = index.get(ns)
@@ -111,18 +100,11 @@ def enumerate_space(task: Task, heuristic, max_states: int = DEFAULT_MAX_STATES)
                 index[ns] = nid
                 states.append(ns)
                 preds.append([])
-                frontier.append(nid)
             succs.append((a.id, nid))
             preds[nid].append(sid)
         transitions.append(succs)
 
-    if heuristic is h_plus:
-        h = h_plus_column(task, states, transitions)
-    elif heuristic is h_ff_value:
-        h = h_ff_column(task, states)
-    else:
-        h = [heuristic(task, s) for s in states]
-
+    h = column(task, heuristic, states, transitions)
     gd = _distances_to(preds, [sid for sid, s in enumerate(states)
                                if is_goal(task, s)])
     return StateSpace(task, states, transitions, h, gd, preds, index)

@@ -57,7 +57,7 @@ def test_transport_swap_is_undirected_and_fully_respected(transport_task):
     assert space.h[0] == 5 and space.gd[0] == 6
     assert rep.mlmed == 0 and rep.mbed <= 1
     assert all(v["respected"]
-               for v in validate_respected(t, space).values())
+               for v in validate_respected(space).values())
 
     flags = action_flags(t, compute_mutexes(t))
     result = enforced_hill_climbing(t, H_PLUS)

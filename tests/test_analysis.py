@@ -708,13 +708,13 @@ class TestLongChain:
 class TestValidateRespected:
     def test_transport_all_respected(self, transport_task):
         space = enumerate_space(transport_task, H_PLUS)
-        out = validate_respected(transport_task, space)
+        out = validate_respected(space)
         assert all(v["respected"] for v in out.values())
 
     def test_blocksworld_putdown_counterexample(self, held_arm_task):
         t = held_arm_task
         space = enumerate_space(t, H_PLUS)
-        out = validate_respected(t, space)
+        out = validate_respected(space)
         init_sid = space.index[frozenset(t.init)]
         bad = out[t.action_by_name["putdown(c)"]]
         assert not bad["respected"]
@@ -723,7 +723,7 @@ class TestValidateRespected:
     def test_tsp_all_respected(self):
         t = generate(GeneratorSpec("simple-tsp", {"locations": 3}, 0))
         space = enumerate_space(t, H_PLUS)
-        out = validate_respected(t, space)
+        out = validate_respected(space)
         assert all(v["respected"] for v in out.values())
 
     def test_matches_per_action_scan(self, transport_task, held_arm_task):
@@ -734,7 +734,7 @@ class TestValidateRespected:
         tasks += [random_task(seed) for seed in range(30)]
         for t in tasks:
             space = enumerate_space(t, H_PLUS)
-            out = validate_respected(t, space)
+            out = validate_respected(space)
             assert list(out.items()) == \
                 list(_respected_per_action_scan(t, space).items()), t.name
 
@@ -843,7 +843,7 @@ def test_respect_plus_inversion_forbids_local_minima():
         t = generate(GeneratorSpec(domain, params, 0))
         flags = action_flags(t, compute_mutexes(t))
         space = enumerate_space(t, H_PLUS)
-        out = validate_respected(t, space)
+        out = validate_respected(space)
         assert all(v["respected"] for v in out.values()), domain
         assert all(f.at_least_invertible is not None
                    or not f.relevant_delete_effects for f in flags), domain

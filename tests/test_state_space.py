@@ -1,5 +1,6 @@
 """Exhaustive enumeration and topology classification."""
 
+import errno
 import marshal
 import math
 import os
@@ -14,13 +15,13 @@ import pytest
 from plantopo import heuristics
 from plantopo.errors import PlantopoError, ResourceExhausted
 from plantopo.generators import GeneratorSpec, generate
-from plantopo.heuristics import HEURISTICS, INF, h_ff_value, h_plus
+from plantopo.heuristics import HEURISTICS, INF, h_goalcount, h_plus
 from plantopo.pddl import ground, parse_task
 from plantopo.state_space import StateSpace, dead_end_class, enumerate_space, \
     exit_distance, exit_distances, export_dot, plateaus, topology_report
 from plantopo.task_model import make_task
 
-from conftest import random_task
+from conftest import random_shared_enabler_task, random_task
 
 H_PLUS = HEURISTICS["hplus"]
 H_FF = HEURISTICS["hff"]
@@ -382,6 +383,19 @@ class TestSccPasses:
         assert deepest > 2
 
 
+# the six spaces of the topology-hplus benchmark workload, and a second
+# ferry seed
+TOPOLOGY_HPLUS = [
+    ("blocksworld-arm-stack", {"n": 4}, 0),
+    ("blocksworld-no-arm-stack", {"n": 3}, 0),
+    ("gripper", {"balls": 4}, 0),
+    ("tireworld", {"tires": 1}, 0),
+    ("hanoi", {"discs": 4}, 0),
+    ("ferry", {"cars": 3}, 0),
+    ("ferry", {"cars": 3}, 7),
+]
+
+
 # the unpatched functions, so that each check wraps them only once
 _COUNTED = {name: getattr(heuristics, name) for name in ("_lower", "_hitting_set")}
 
@@ -460,15 +474,7 @@ class TestHPlusColumn:
             "gripper": (327, 148), "tireworld": (465, 0), "hanoi": (98, 0),
             "ferry": (29, 0)}
 
-    @pytest.mark.parametrize("family,params,seed", [
-        ("blocksworld-arm-stack", {"n": 4}, 0),
-        ("blocksworld-no-arm-stack", {"n": 3}, 0),
-        ("gripper", {"balls": 4}, 0),
-        ("tireworld", {"tires": 1}, 0),
-        ("hanoi", {"discs": 4}, 0),
-        ("ferry", {"cars": 3}, 0),
-        ("ferry", {"cars": 3}, 7),
-    ])
+    @pytest.mark.parametrize("family,params,seed", TOPOLOGY_HPLUS)
     def test_topology_families(self, family, params, seed, monkeypatch):
         counts = self.check(generate(GeneratorSpec(family, params, seed)),
                             monkeypatch)
@@ -526,15 +532,52 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _layers(space):
-    """The breadth-first layers of ``space`` as (start, stop) id ranges."""
+def _depths(space):
+    """Per state id, its breadth-first depth from init, found by a search
+    of its own that does not rely on the id order."""
     depth = [0] + [None] * (space.size - 1)
-    for sid, succs in enumerate(space.transitions):
-        for _, nid in succs:
+    queue = deque([0])
+    while queue:
+        sid = queue.popleft()
+        for _, nid in space.transitions[sid]:
             if depth[nid] is None:
                 depth[nid] = depth[sid] + 1
+                queue.append(nid)
+    return depth
+
+
+def _layers(space):
+    """The breadth-first layers of ``space`` as (start, stop) id ranges."""
+    depth = _depths(space)
     stops = [sid for sid in range(1, space.size) if depth[sid] != depth[sid - 1]]
     return list(zip([0] + stops, stops + [space.size]))
+
+
+def _open_fds():
+    """This process's open file descriptors, or None where ``/proc`` does
+    not list them."""
+    path = "/proc/self/fd"
+    return sorted(os.listdir(path)) if os.path.isdir(path) else None
+
+
+class TestBreadthFirstIds:
+    """``enumerate_space`` hands out ids in breadth-first order, so depth
+    never falls as the id grows: its search walks the list of states by
+    id, and the h+ column's layers are runs of ids."""
+
+    @staticmethod
+    def check(space):
+        depth = _depths(space)
+        assert all(a <= b for a, b in zip(depth, depth[1:]))
+
+    def test_random_tasks(self):
+        for make in (random_task, random_shared_enabler_task):
+            for seed in range(300):
+                self.check(enumerate_space(make(seed), h_goalcount))
+
+    @pytest.mark.parametrize("family,params,seed", TOPOLOGY_HPLUS)
+    def test_topology_families(self, family, params, seed):
+        self.check(space_of(family, params, h_goalcount, seed)[1])
 
 
 class _SplitColumnCases:
@@ -612,6 +655,41 @@ class _SplitColumnCases:
             assert space.h == plain
             assert [v is INF for v in space.h] == [v == INF for v in plain]
         assert len(forks) == 2
+        _assert_no_child_left()
+
+    @TWO_CPUS
+    @pytest.mark.parametrize("failing", ["fork", "second-pipe"])
+    def test_no_child_to_spare_is_one_process(self, failing, monkeypatch):
+        # a fork that fails (EAGAIN at a process limit), or a second pipe
+        # that cannot be made (EMFILE), leaves the column to this process,
+        # with the pipes made so far closed again
+        t = generate(GeneratorSpec("blocksworld-no-arm-stack", {"n": 3}, 0))
+        monkeypatch.setattr(heuristics, "FORK_MIN_STATES", 2)
+        cpus = os.sched_getaffinity(0)
+        forks = _counted_forks(monkeypatch)
+        pipes = []
+        pipe = os.pipe
+
+        def counted_pipe():
+            pipes.append(None)
+            if failing == "second-pipe" and len(pipes) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        def no_fork():
+            forks.append(None)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(heuristics.os, "pipe", counted_pipe)
+        if failing == "fork":
+            monkeypatch.setattr(heuristics.os, "fork", no_fork)
+        fds = _open_fds()
+        space = enumerate_space(t, self.heuristic)
+        assert _open_fds() == fds
+        assert len(pipes) == 2
+        assert len(forks) == (failing == "fork")
+        assert space.h == [self.heuristic(t, s) for s in space.states]
+        assert os.sched_getaffinity(0) == cpus
         _assert_no_child_left()
 
     @TWO_CPUS
